@@ -1,10 +1,10 @@
 /**
  * @file
  * nachosd SLO curve: sustained req/s at a p99 latency bound, before
- * and after the serving-plane rework. Config A is the PR3-faithful
- * baseline (single-lane execution, no region cache — the daemon's
- * legacy mode); config B is the sharded plane with cross-connection
- * bulk batching and the synthesized-region cache. Both are driven by
+ * and after the serving-plane rework. Config A is the single-lane
+ * baseline (no coalescing, no region cache: singleton groups that
+ * rebuild every front end); config B adds cross-connection bulk
+ * coalescing and the synthesized-region cache on the same path. Both are driven by
  * the same closed-loop loadgen (service/loadgen.hh) over 1/4/16/64
  * client connections sending identical bulk jobs (183.equake,
  * 1 invocation, nachos backend).
@@ -64,8 +64,7 @@ makeConfig(const std::string &socketPath, bool legacy)
     DaemonConfig config;
     config.socketPath = socketPath;
     if (legacy) {
-        // PR3 shape: two plain workers off one set of rings, no
-        // coalescing, no cache.
+        // Baseline shape: two workers, no coalescing, no cache.
         config.workers = 2;
         config.maxBatchLanes = 1;
         config.regionCacheEntries = 0;

@@ -9,8 +9,8 @@
  * answer to "what does the JSON-lines layer cost on top of the
  * Runner?".
  *
- * The daemon runs in its legacy single-lane shape (no coalescing, no
- * region cache) so this stays the A/B baseline the SLO bench compares
+ * The daemon runs in its single-lane shape (no coalescing, no region
+ * cache) so this stays the A/B baseline the SLO bench compares
  * against.
  */
 
@@ -63,7 +63,7 @@ main()
         config.socketPath = socketPath;
         config.workers = 2;
         config.queueCapacity = clients * kJobsPerClient;
-        config.maxBatchLanes = 1;    // PR3-faithful baseline
+        config.maxBatchLanes = 1;    // single-lane baseline
         config.regionCacheEntries = 0;
         Daemon daemon(config);
         std::string error;

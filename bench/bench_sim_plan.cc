@@ -9,7 +9,7 @@
  *   chain shape — static histogram of maximal fused-chain lengths and
  *       the fraction of ops covered by chains of length >= 2;
  *   fused vs unfused — the same regions simulated with fusion on and
- *       off through both engines: identity verdicts plus the plan
+ *       off: identity verdicts plus the plan
  *       observability counters (events elided, macro firings) on
  *       stdout, simulated-cycles/s and speedup on stderr.
  *
@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "cgra/batch_sim.hh"
 #include "cgra/sim_tables.hh"
 #include "cgra/simulator.hh"
 #include "harness/run_json.hh"
@@ -226,17 +225,9 @@ main(int argc, char **argv)
             macroOps += a.planMacroOps;
             fusedOps += a.planFusedOps;
             cycles += a.cycles;
-
-            // Batch engine, one lane per mode: same identity contract.
-            BatchSimEngine engine;
-            const std::vector<SimResult> pair = engine.run(
-                region, mdes,
-                {{kind, fused}, {kind, unfused}});
-            identical = identical && sameResult(pair[0], pair[1]) &&
-                        sameResult(pair[0], a);
         }
     }
-    std::cout << "\nfused vs unfused (3 backends, both engines):\n"
+    std::cout << "\nfused vs unfused (3 backends):\n"
               << "  results identical: " << (identical ? "yes" : "NO")
               << "\n  events dispatched: " << dispatchedFused
               << " fused vs " << dispatchedUnfused << " unfused ("

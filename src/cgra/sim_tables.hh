@@ -1,14 +1,12 @@
 /**
  * @file
- * Static per-region simulation tables, shared by the sequential
- * SimCore and the batched engine (batch_sim). Everything here is a
- * pure function of (region, placement, network config): operand-arena
+ * Static per-region simulation tables of SimCore. Everything here is
+ * a pure function of (region, placement, network config): operand-arena
  * prefix sums, initial pending-operand counts, invocation-start seed
  * events in program order, the CSR operand fan-out with cached route
  * hop counts and latencies, and the region's firing plan — the
- * single-consumer chains of fixed-latency pure ops the engines fuse
- * into macro-ops (see DESIGN.md §15). The batch engine builds them
- * once and shares them across all lanes of a run.
+ * single-consumer chains of fixed-latency pure ops the engine fuses
+ * into macro-ops (see DESIGN.md §15).
  */
 
 #ifndef NACHOS_CGRA_SIM_TABLES_HH

@@ -60,7 +60,7 @@ SimCore::SimCore(const Region &region, const MdeSet &mdes,
                  HierarchyPool &pool)
     : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
       placement_(region, cfg.grid), network_(placement_, cfg.net, stats_),
-      hierarchy_(pool.acquire(0, cfg.mem, stats_)),
+      hierarchy_(pool.acquire(cfg.mem, stats_)),
       energyModel_(cfg.energy), trace_(!cfg.traceFile.empty())
 {
     NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");

@@ -38,8 +38,7 @@
  * a wave at a time and dispatch in a canonical content order
  * (kind, op, slot, value) — a pure function of event contents, so the
  * dispatch schedule cannot depend on the order handlers scheduled
- * them, which is what keeps the two engines (sequential and batched)
- * and the two fusion modes on one timeline.
+ * them, which is what keeps the two fusion modes on one timeline.
  */
 
 #ifndef NACHOS_CGRA_SIMULATOR_HH
@@ -149,11 +148,8 @@ struct SimResult
 };
 
 /**
- * The execution-engine services an ordering backend builds on. The
- * sequential SimCore implements it directly; the batched engine
- * (cgra/batch_sim) implements it once per lane, routing each call into
- * the lane's slice of the shared structure-of-arrays state. Backends
- * never see which engine is driving them.
+ * The execution-engine services an ordering backend builds on, which
+ * SimCore implements. Backends see only this interface.
  */
 class BackendCore
 {
@@ -202,13 +198,6 @@ class OrderingBackend
 
     void attach(BackendCore &core) { core_ = &core; }
 
-    /**
-     * The region this backend's static tables were built for. The
-     * batch engine refuses lanes bound to a different region than the
-     * batch's (all lanes share one set of static tables).
-     */
-    const Region &boundRegion() const { return region_; }
-
     /** Reset per-invocation state. */
     virtual void beginInvocation(uint64_t inv) = 0;
 
@@ -247,12 +236,12 @@ class SimCore final : public BackendCore
 
     /**
      * Pooled-hierarchy variant: acquire the memory hierarchy from
-     * `pool` (slot 0) instead of constructing one. Hierarchy
+     * `pool` instead of constructing one. Hierarchy
      * construction is dominated by filling the LLC way array (~100 µs,
      * mem/hierarchy_pool) — more than a small region's entire
-     * simulation — so reset-heavy sequential drivers (the fuzzer, the
-     * suite runner, benches) keep a pool alive across simulate()
-     * calls. A pooled acquire is observably identical to fresh
+     * simulation — so reset-heavy drivers (the fuzzer, the suite
+     * runner, benches, nachosd shards) keep a pool alive across
+     * simulate() calls. A pooled acquire is observably identical to fresh
      * construction (tested); at most one SimCore may use a pool at a
      * time, and the pool must outlive the core.
      */

@@ -24,76 +24,66 @@ backendLanes(const RunRequest &request)
            (request.runNachos ? 1u : 0u);
 }
 
-std::vector<BatchRunResult>
-runBatchedGroup(const std::vector<BatchRunItem> &items, RegionCache &cache,
-                BatchSimEngine &engine)
+void
+runGroup(const std::vector<BatchRunItem> &items, RegionCache &cache,
+         HierarchyPool &pool, GroupHooks &hooks)
 {
-    NACHOS_ASSERT(!items.empty(), "batched group must be non-empty");
-    for (const BatchRunItem &item : items) {
+    NACHOS_ASSERT(!items.empty(), "group must be non-empty");
+    for (const BatchRunItem &item : items)
         NACHOS_ASSERT(sameRegionWork(*items[0].info, *items[0].request,
                                      *item.info, *item.request),
-                      "batched group mixes region work");
-        // The coalescing group key includes the machine-config hash,
-        // so a claimed group is machine-homogeneous; mixing machines
-        // here would violate the batch engine's shared-network
-        // invariant (and silently share pooled hierarchies across
-        // differing cache geometries on stale slots).
-        NACHOS_ASSERT(item.request->machine == items[0].request->machine,
-                      "batched group mixes machine configs");
-    }
+                      "group mixes region work");
 
     using clock = std::chrono::steady_clock;
+    auto secondsSince = [](clock::time_point t0) {
+        return std::chrono::duration<double>(clock::now() - t0).count();
+    };
+
     const clock::time_point start = clock::now();
-
     bool hit = false;
-    std::shared_ptr<const RegionCacheEntry> entry =
+    const std::shared_ptr<const RegionCacheEntry> entry =
         cache.acquire(*items[0].info, *items[0].request, &hit);
-    const double frontSeconds =
-        std::chrono::duration<double>(clock::now() - start).count();
+    const double frontSeconds = secondsSince(start);
 
-    std::vector<BatchLane> lanes;
-    lanes.reserve(items.size() * 3);
-    for (const BatchRunItem &item : items) {
-        SimConfig sim;
-        sim.invocations = item.request->invocationsOverride
-                              ? item.request->invocationsOverride
-                              : item.info->invocations;
-        item.request->machine.applyTo(sim);
-        if (item.request->runLsq)
-            lanes.push_back({BackendKind::OptLsq, sim});
-        if (item.request->runSw)
-            lanes.push_back({BackendKind::NachosSw, sim});
-        if (item.request->runNachos)
-            lanes.push_back({BackendKind::Nachos, sim});
-    }
-    NACHOS_ASSERT(lanes.size() <= BatchSimEngine::kMaxLanes,
-                  "batched group exceeds the lane budget");
-
-    const clock::time_point simStart = clock::now();
-    std::vector<SimResult> simmed =
-        engine.run(entry->region, entry->mdes, lanes);
-    const double simSeconds =
-        std::chrono::duration<double>(clock::now() - simStart).count();
-
-    std::vector<BatchRunResult> results(items.size());
-    size_t next = 0;
+    bool laneRan = false; ///< since the last betweenLanes()
     for (size_t i = 0; i < items.size(); ++i) {
-        BatchRunResult &r = results[i];
+        const RunRequest &request = *items[i].request;
+        const SimConfig sim = simConfigFor(*items[i].info, request);
+        BatchRunResult r;
         r.entry = entry;
         r.cacheHit = hit;
-        if (items[i].request->runLsq)
-            r.lsq = std::move(simmed[next++]);
-        if (items[i].request->runSw)
-            r.sw = std::move(simmed[next++]);
-        if (items[i].request->runNachos)
-            r.nachos = std::move(simmed[next++]);
         // The front end ran once for the group; charge it to the first
-        // item so per-stage totals still sum to wall time.
+        // member so per-stage totals still sum to wall time.
         if (i == 0)
             r.times.synthSeconds = frontSeconds;
-        r.times.simSeconds = simSeconds;
+
+        const struct
+        {
+            bool wanted;
+            BackendKind kind;
+            std::optional<SimResult> *out;
+        } lanes[] = {{request.runLsq, BackendKind::OptLsq, &r.lsq},
+                     {request.runSw, BackendKind::NachosSw, &r.sw},
+                     {request.runNachos, BackendKind::Nachos, &r.nachos}};
+        for (const auto &lane : lanes) {
+            if (!lane.wanted)
+                continue;
+            if (laneRan) {
+                hooks.betweenLanes();
+                laneRan = false;
+            }
+            if (!hooks.runLane(i)) {
+                ++r.lanesSkipped;
+                continue;
+            }
+            const clock::time_point simStart = clock::now();
+            *lane.out = simulate(entry->region, entry->mdes, lane.kind,
+                                 sim, pool);
+            r.times.simSeconds += secondsSince(simStart);
+            laneRan = true;
+        }
+        hooks.memberDone(i, r);
     }
-    return results;
 }
 
 } // namespace nachos

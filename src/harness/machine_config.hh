@@ -8,8 +8,7 @@
  * is the identity and reproduces today's behavior bit-for-bit. Overrides
  * deliberately cover only the *memory-system* axes the design-space
  * sweeps explore (LSQ geometry, cache geometry, DRAM, operand-network
- * rate, NACHOS comparator width); grid geometry stays fixed because the
- * batch engine shares one placement across lanes.
+ * rate, NACHOS comparator width); grid geometry stays fixed.
  *
  * The front half of a run (synthesis, alias pipeline, MDE insertion)
  * never reads these fields — the region cache key stays
@@ -54,10 +53,9 @@ struct MachineOverrides
  * Order-stable FNV-1a hash over the override fields. Equal overrides
  * hash equal; the all-default overrides hash to the FNV offset basis.
  * The bulk-coalescing group key (service/job_queue) uses this so two
- * jobs that differ only in machine config are never batched into one
- * multi-lane walk (the batch engine requires lanes to agree on the
- * network config, and pooled hierarchies must not be shared across
- * differing cache geometries).
+ * jobs that differ only in machine config never share a group (a group's
+ * lanes reuse one pooled hierarchy, which a differing cache geometry
+ * would force to be rebuilt).
  */
 uint64_t machineConfigHash(const MachineOverrides &m);
 

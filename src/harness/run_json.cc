@@ -314,11 +314,12 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
             return false;
     }
 
+    // 'batchSim' selected the batched engine, which is gone: accepted
+    // (still typed) and ignored for one protocol version (DESIGN §9).
     if (const JsonValue *m = v.find("batchSim")) {
         if (!m->isBool())
             return failCodec(err, "bad_request",
                              "'batchSim' must be a bool");
-        spec.request.batchSim = m->boolean();
     }
 
     if (const JsonValue *m = v.find("fusion")) {
@@ -375,8 +376,6 @@ encodeRunRequest(const JobSpec &spec)
     v.set("invocations", spec.request.invocationsOverride);
     if (spec.request.machine.any())
         v.set("machine", encodeMachineOverrides(spec.request.machine));
-    if (spec.request.batchSim)
-        v.set("batchSim", true);
     if (!spec.request.fusion)
         v.set("fusion", false);
     if (spec.timeoutMillis)

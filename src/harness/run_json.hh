@@ -40,8 +40,9 @@ constexpr uint64_t kMaxInvocationsOverride = 10'000'000;
  * Admission class of a run request. Interactive jobs (the default)
  * get their own bounded ring per shard and are never coalesced; bulk
  * jobs accept higher queueing delay in exchange for throughput — the
- * daemon may batch same-region bulk requests into one multi-lane
- * simulate call.
+ * daemon may coalesce same-region bulk requests into one group that
+ * shares a cached front end, and serves interactive jobs between that
+ * group's lanes.
  */
 enum class AdmitClass : uint8_t { Interactive, Bulk };
 
@@ -141,7 +142,7 @@ OutcomeSummary summarizeOutcome(const BenchmarkInfo &info,
                                 const RunOutcome &outcome);
 
 /**
- * As above but over the outcome's parts — the daemon's batched path
+ * As above but over the outcome's parts — the daemon's grouped path
  * holds analysis/mdes in a shared cache entry and per-lane SimResults
  * that never live inside one RunOutcome. Null backend pointers mean
  * "not run".

@@ -2,9 +2,19 @@
 
 #include <chrono>
 
-#include "cgra/batch_sim.hh"
-
 namespace nachos {
+
+SimConfig
+simConfigFor(const BenchmarkInfo &info, const RunRequest &request)
+{
+    SimConfig sim;
+    sim.invocations = request.invocationsOverride
+                          ? request.invocationsOverride
+                          : info.invocations;
+    request.machine.applyTo(sim);
+    sim.fusion = request.fusion;
+    return sim;
+}
 
 RunOutcome
 runWorkload(const BenchmarkInfo &info, const RunRequest &request,
@@ -30,43 +40,19 @@ runWorkload(const BenchmarkInfo &info, const RunRequest &request,
     out.mdes = insertMdes(out.region, out.analysis.matrix);
     times.mdeSeconds = lap();
 
-    SimConfig sim;
-    sim.invocations = request.invocationsOverride
-                          ? request.invocationsOverride
-                          : info.invocations;
-    request.machine.applyTo(sim);
-    sim.fusion = request.fusion;
-    if (request.batchSim) {
-        std::vector<BatchLane> lanes;
-        if (request.runLsq)
-            lanes.push_back({BackendKind::OptLsq, sim});
-        if (request.runSw)
-            lanes.push_back({BackendKind::NachosSw, sim});
-        if (request.runNachos)
-            lanes.push_back({BackendKind::Nachos, sim});
-        std::vector<SimResult> results =
-            simulateBatch(out.region, out.mdes, lanes);
-        size_t next = 0;
-        if (request.runLsq)
-            out.lsq = std::move(results[next++]);
-        if (request.runSw)
-            out.sw = std::move(results[next++]);
-        if (request.runNachos)
-            out.nachos = std::move(results[next++]);
-    } else {
-        // Worker-thread-local hierarchy pool: sequential-mode suite
-        // runs otherwise pay an LLC-array construction per backend.
-        thread_local HierarchyPool pool;
-        if (request.runLsq)
-            out.lsq = simulate(out.region, out.mdes,
-                               BackendKind::OptLsq, sim, pool);
-        if (request.runSw)
-            out.sw = simulate(out.region, out.mdes,
-                              BackendKind::NachosSw, sim, pool);
-        if (request.runNachos)
-            out.nachos = simulate(out.region, out.mdes,
-                                  BackendKind::Nachos, sim, pool);
-    }
+    const SimConfig sim = simConfigFor(info, request);
+    // Worker-thread-local hierarchy pool: suite runs otherwise pay an
+    // LLC-array construction per backend.
+    thread_local HierarchyPool pool;
+    if (request.runLsq)
+        out.lsq = simulate(out.region, out.mdes, BackendKind::OptLsq, sim,
+                           pool);
+    if (request.runSw)
+        out.sw = simulate(out.region, out.mdes, BackendKind::NachosSw, sim,
+                          pool);
+    if (request.runNachos)
+        out.nachos = simulate(out.region, out.mdes, BackendKind::Nachos,
+                              sim, pool);
     times.simSeconds = lap();
     return out;
 }

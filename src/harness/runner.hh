@@ -36,14 +36,9 @@ struct RunRequest
      * analysis + MDEs) is machine-independent by construction.
      */
     MachineOverrides machine;
-    /** Simulate the requested backends as one batched walk
-     *  (cgra/batch_sim) instead of sequential simulate() calls.
-     *  Results are byte-identical either way; batching shares the
-     *  firing tables and one calendar-queue pass across backends. */
-    bool batchSim = false;
     /** Fuse single-consumer fixed-latency chains into macro-ops
      *  (SimConfig::fusion). Results are byte-identical either way;
-     *  `--no-fusion` is the escape hatch, mirroring `--no-batch`. */
+     *  `--no-fusion` is the escape hatch. */
     bool fusion = true;
 };
 
@@ -66,6 +61,10 @@ struct StageTimes
     double mdeSeconds = 0;
     double simSeconds = 0; ///< all requested backends together
 };
+
+/** The SimConfig every requested backend of `request` runs under. */
+SimConfig simConfigFor(const BenchmarkInfo &info,
+                       const RunRequest &request);
 
 /** Synthesize + analyze + simulate one workload. */
 RunOutcome runWorkload(const BenchmarkInfo &info,

@@ -117,20 +117,6 @@ suiteThreads(int argc, char *const argv[])
 }
 
 bool
-suiteBatch(int argc, char *const argv[], bool fallback)
-{
-    bool batch = fallback;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--batch")
-            batch = true;
-        else if (arg == "--no-batch")
-            batch = false;
-    }
-    return batch;
-}
-
-bool
 suiteFusion(int argc, char *const argv[], bool fallback)
 {
     bool fusion = fallback;
@@ -280,8 +266,12 @@ printSuiteTiming(std::ostream &os, const SuiteRun &run)
     const double pct =
         100.0 * static_cast<double>(elided) /
         static_cast<double>(dispatched + elided);
+    // Eager operand delivery elides events with fusion on or off;
+    // macro-ops (fusion only) elide the rest.
     os << "plan: " << dispatched << " events dispatched, " << elided
-       << " elided by fusion (" << fmtDouble(pct, 1) << "%), "
+       << " elided by eager delivery"
+       << (macroOps ? " and fusion" : "") << " (" << fmtDouble(pct, 1)
+       << "%), "
        << macroOps << " macro-ops, mean fused-chain length "
        << fmtDouble(macroOps ? static_cast<double>(fusedOps) /
                                    static_cast<double>(macroOps)

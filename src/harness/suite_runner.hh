@@ -66,14 +66,6 @@ SuiteRun runSuite(const std::vector<BenchmarkInfo> &suite,
 unsigned suiteThreads(int argc, char *const argv[]);
 
 /**
- * `--batch` / `--no-batch` from argv if present, else `fallback`.
- * Benches feed the result into RunRequest::batchSim; stdout stays
- * byte-identical either way (the batched engine's identity guarantee),
- * so this only moves the sim-stage timing.
- */
-bool suiteBatch(int argc, char *const argv[], bool fallback = false);
-
-/**
  * `--fusion` / `--no-fusion` from argv if present, else `fallback`
  * (on by default). Benches feed the result into RunRequest::fusion;
  * stdout stays byte-identical either way (the firing plan's identity

@@ -10,15 +10,6 @@ namespace nachos {
 
 namespace ev = energy_events;
 
-bool
-LsqConfig::sameAs(const LsqConfig &o) const
-{
-    return banks == o.banks && portsPerBank == o.portsPerBank &&
-           entriesPerBank == o.entriesPerBank &&
-           allocLatency == o.allocLatency &&
-           searchLatency == o.searchLatency && bloom.sameAs(o.bloom);
-}
-
 OptLsq::OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, StatSet &stats)
     : cfg_(cfg), allocs_(&stats.counter(ev::kLsqAlloc)),
       bloomProbes_(&stats.counter(ev::kLsqBloom)),
@@ -139,14 +130,20 @@ OptLsq::loadSearch(uint32_t m, uint64_t cycle)
     bloomHits_->inc();
     camLoads_->inc();
 
-    // CAM: youngest older in-flight store overlapping this load.
+    // CAM: youngest older in-flight store overlapping this load. A
+    // younger overlapping store that already drained wrote some of the
+    // load's bytes after any older match, so the match may not forward
+    // past it: the load reads the cache once the older stores commit.
+    bool drainedOverlap = false;
     for (uint32_t i = m; i-- > 0;) {
         const Entry &s = entries_[i];
-        if (!s.isStore || !s.seen || s.drained)
+        if (!s.isStore || !s.seen || !overlaps(e, s))
             continue;
-        if (!overlaps(e, s))
+        if (s.drained) {
+            drainedOverlap = true;
             continue;
-        if (s.addr == e.addr && s.size == e.size) {
+        }
+        if (!drainedOverlap && s.addr == e.addr && s.size == e.size) {
             forwards_->inc();
             result.kind = LoadSearchResult::Kind::ForwardFrom;
         } else {

@@ -89,8 +89,8 @@ Daemon::Daemon(DaemonConfig config)
         config_.workers = 1;
     if (config_.maxBatchLanes < 1)
         config_.maxBatchLanes = 1;
-    if (config_.maxBatchLanes > BatchSimEngine::kMaxLanes)
-        config_.maxBatchLanes = BatchSimEngine::kMaxLanes;
+    if (config_.maxBatchLanes > kMaxGroupLanes)
+        config_.maxBatchLanes = kMaxGroupLanes;
     shards_.reserve(config_.workers);
     for (unsigned i = 0; i < config_.workers; ++i)
         shards_.push_back(std::make_unique<Shard>(
@@ -100,15 +100,6 @@ Daemon::Daemon(DaemonConfig config)
 Daemon::~Daemon()
 {
     drain();
-}
-
-bool
-Daemon::legacyExecution() const
-{
-    // With coalescing and the cache both switched off, run jobs
-    // through the exact pre-shard code path (sequential simulate via
-    // runWorkload) — the A/B baseline the SLO bench compares against.
-    return config_.maxBatchLanes <= 1 && config_.regionCacheEntries == 0;
 }
 
 bool
@@ -519,7 +510,7 @@ void
 Daemon::shardLoop(uint32_t index)
 {
     Shard &self = *shards_[index];
-    std::vector<std::shared_ptr<Job>> &group = self.claimBuf;
+    std::vector<std::shared_ptr<Job>> &group = self.group.claim;
     while (true) {
         using std::chrono::milliseconds;
         size_t n =
@@ -556,7 +547,7 @@ Daemon::shardLoop(uint32_t index)
                 continue;
             }
         }
-        executeGroup(self, group);
+        executeGroup(self, self.group, /*interruptible=*/true);
         for (size_t i = 0; i < group.size(); ++i)
             finishJob();
         group.clear(); // drop job references promptly
@@ -564,24 +555,70 @@ Daemon::shardLoop(uint32_t index)
 }
 
 void
-Daemon::respondResult(Shard &shard, const std::shared_ptr<Job> &job,
-                      const OutcomeSummary &summary)
+Daemon::serveInteractive(Shard &shard)
 {
-    std::string &buf = shard.encodeBuf;
-    buf.clear(); // keeps capacity: steady state reuses the arena
-    appendResultResponse(buf, job->requestId, summary);
-    buf += '\n';
-    if (job->respondBytes)
-        job->respondBytes(buf);
-    else
-        job->respond(resultResponse(job->requestId,
-                                    encodeOutcome(summary)));
+    GroupScratch &scratch = shard.interrupt;
+    while (shard.queue.claimInteractive(scratch.claim)) {
+        // Its own singleton group: one front-end lookup and one
+        // batch.groups bump, like any other claim.
+        executeGroup(shard, scratch, /*interruptible=*/false);
+        finishJob();
+        scratch.claim.clear();
+    }
 }
 
-void
-Daemon::executeGroup(Shard &shard,
-                     std::vector<std::shared_ptr<Job>> &group)
+/** runGroup's hooks for one executing group of a shard. */
+class Daemon::GroupResponder : public GroupHooks
 {
+  public:
+    GroupResponder(Daemon &daemon, Shard &shard, GroupScratch &scratch,
+                   bool interruptible)
+        : daemon_(daemon), shard_(shard), scratch_(scratch),
+          interruptible_(interruptible)
+    {}
+
+    bool
+    runLane(size_t i) override
+    {
+        // A member the watchdog already answered (`timeout`) is no
+        // longer Running: its remaining lanes would be discarded.
+        return scratch_.claim[i]->state.load() == JobState::Running;
+    }
+
+    void
+    betweenLanes() override
+    {
+        if (interruptible_)
+            daemon_.serveInteractive(shard_);
+    }
+
+    void
+    memberDone(size_t i, BatchRunResult &result) override
+    {
+        answered_ = i + 1;
+        lanesSkipped_ += result.lanesSkipped;
+        daemon_.completeMember(shard_, scratch_, *scratch_.claim[i],
+                               result);
+    }
+
+    /** Members passed to memberDone so far (a prefix of the group). */
+    size_t answered() const { return answered_; }
+    uint32_t lanesSkipped() const { return lanesSkipped_; }
+
+  private:
+    Daemon &daemon_;
+    Shard &shard_;
+    GroupScratch &scratch_;
+    bool interruptible_;
+    size_t answered_ = 0;
+    uint32_t lanesSkipped_ = 0;
+};
+
+void
+Daemon::executeGroup(Shard &shard, GroupScratch &scratch,
+                     bool interruptible)
+{
+    const std::vector<std::shared_ptr<Job>> &group = scratch.claim;
     const clock_t_::time_point started = clock_t_::now();
     {
         std::lock_guard<std::mutex> lock(shard.statsMutex);
@@ -596,135 +633,108 @@ Daemon::executeGroup(Shard &shard,
             std::chrono::milliseconds(group[0]->spec.sleepMillis));
     }
 
-    bool failed = false;
+    scratch.items.clear();
+    for (const std::shared_ptr<Job> &job : group)
+        scratch.items.push_back({job->spec.info, &job->spec.request});
+
+    GroupResponder responder(*this, shard, scratch, interruptible);
     std::string failMessage;
-    std::vector<BatchRunResult> results;
-    RunOutcome legacyOutcome;
-    StageTimes legacyTimes;
-    const bool legacy = legacyExecution();
     try {
-        if (legacy) {
-            // Lanes are capped at 1 in legacy mode, so claim() never
-            // builds a multi-job group.
-            NACHOS_ASSERT(group.size() == 1,
-                          "legacy execution got a coalesced group");
-            const Job &job = *group[0];
-            legacyOutcome =
-                runWorkload(*job.spec.info, job.spec.request,
-                            legacyTimes);
-        } else {
-            std::vector<BatchRunItem> &items = shard.itemBuf;
-            items.clear();
-            for (const std::shared_ptr<Job> &job : group)
-                items.push_back({job->spec.info, &job->spec.request});
-            results = runBatchedGroup(items, cache_, shard.engine);
-        }
+        runGroup(scratch.items, cache_, shard.pool, responder);
     } catch (const std::exception &e) {
-        failed = true;
         failMessage = e.what();
     } catch (...) {
-        failed = true;
         failMessage = "unknown exception";
     }
-
-    for (size_t i = 0; i < group.size(); ++i) {
-        const std::shared_ptr<Job> &job = group[i];
-        if (!job->tryTransition(JobState::Running, JobState::Done)) {
-            // The watchdog answered `timeout` while we were
-            // computing; the result is discarded but still counted.
-            std::lock_guard<std::mutex> lock(shard.statsMutex);
-            shard.stats.counter("jobs.lateResults").inc();
-            continue;
-        }
-        if (failed) {
-            job->respond(errorResponse(job->requestId, "internal",
-                                       "job execution failed: " +
-                                           failMessage));
-            std::lock_guard<std::mutex> lock(shard.statsMutex);
-            shard.stats.counter("jobs.failed").inc();
-            continue;
-        }
-        const StageTimes &times =
-            legacy ? legacyTimes : results[i].times;
-        OutcomeSummary summary;
-        if (legacy) {
-            summary = summarizeOutcome(*job->spec.info,
-                                       job->spec.request, legacyOutcome);
-        } else {
-            const BatchRunResult &r = results[i];
-            summary = summarizeOutcome(
-                *job->spec.info, job->spec.request, r.entry->analysis,
-                r.entry->mdes, r.lsq ? &*r.lsq : nullptr,
-                r.sw ? &*r.sw : nullptr,
-                r.nachos ? &*r.nachos : nullptr);
-        }
-        respondResult(shard, job, summary);
-        const clock_t_::time_point finished = clock_t_::now();
-        const uint64_t totalMicros =
-            microsBetween(job->enqueued, finished);
-        const bool bulk = job->spec.klass == AdmitClass::Bulk;
-        std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.stats.counter("jobs.completed").inc();
-        // Firing-plan observability: fold each backend run's plan
-        // counters into the shard stats so metricsSnapshot() exposes
-        // suite-wide fusion coverage (mirrors the suite --json
-        // "fusion" record). Cache-served sims report their cached
-        // counters — per-job visibility, not unique-sim accounting.
-        {
-            const SimResult *sims[3];
-            if (legacy) {
-                sims[0] = legacyOutcome.lsq ? &*legacyOutcome.lsq
-                                            : nullptr;
-                sims[1] = legacyOutcome.sw ? &*legacyOutcome.sw
-                                           : nullptr;
-                sims[2] = legacyOutcome.nachos ? &*legacyOutcome.nachos
-                                               : nullptr;
-            } else {
-                const BatchRunResult &r = results[i];
-                sims[0] = r.lsq ? &*r.lsq : nullptr;
-                sims[1] = r.sw ? &*r.sw : nullptr;
-                sims[2] = r.nachos ? &*r.nachos : nullptr;
-            }
-            for (const SimResult *sim : sims) {
-                if (!sim)
-                    continue;
-                shard.stats.counter("plan.eventsDispatched")
-                    .inc(sim->planEventsDispatched);
-                shard.stats.counter("plan.eventsElided")
-                    .inc(sim->planEventsElided);
-                shard.stats.counter("plan.macroOps")
-                    .inc(sim->planMacroOps);
-                shard.stats.counter("plan.fusedOps")
-                    .inc(sim->planFusedOps);
-            }
-        }
-        shard.stats.histogram("latency.synthMicros")
-            .sample(secondsToMicros(times.synthSeconds));
-        shard.stats.histogram("latency.analysisMicros")
-            .sample(secondsToMicros(times.analysisSeconds));
-        shard.stats.histogram("latency.mdeMicros")
-            .sample(secondsToMicros(times.mdeSeconds));
-        shard.stats.histogram("latency.simMicros")
-            .sample(secondsToMicros(times.simSeconds));
-        shard.stats.histogram("latency.totalMicros").sample(totalMicros);
-        shard.stats
-            .histogram(bulk ? "latency.bulk.totalMicros"
-                            : "latency.interactive.totalMicros")
-            .sample(totalMicros);
+    if (responder.answered() < group.size()) {
+        // A lane threw: members not yet answered fail together.
+        for (size_t i = responder.answered(); i < group.size(); ++i)
+            failMember(shard, *group[i], failMessage);
+        return;
     }
 
-    if (!legacy && !failed) {
-        uint32_t lanes = 0;
-        for (const std::shared_ptr<Job> &job : group)
-            lanes += backendLanes(job->spec.request);
+    uint32_t lanes = 0;
+    for (const std::shared_ptr<Job> &job : group)
+        lanes += backendLanes(job->spec.request);
+    std::lock_guard<std::mutex> lock(shard.statsMutex);
+    shard.stats.counter("batch.groups").inc();
+    shard.stats.counter("batch.lanes").inc(lanes);
+    shard.stats.histogram("batch.lanesPerGroup").sample(lanes);
+    if (group.size() > 1)
+        shard.stats.counter("batch.coalescedJobs").inc(group.size() - 1);
+    shard.stats.counter("jobs.lanesSkipped")
+        .inc(responder.lanesSkipped());
+}
+
+void
+Daemon::failMember(Shard &shard, Job &job, const std::string &message)
+{
+    const bool ours = job.tryTransition(JobState::Running, JobState::Done);
+    if (ours)
+        job.respond(errorResponse(job.requestId, "internal",
+                                  "job execution failed: " + message));
+    std::lock_guard<std::mutex> lock(shard.statsMutex);
+    shard.stats.counter(ours ? "jobs.failed" : "jobs.lateResults").inc();
+}
+
+void
+Daemon::completeMember(Shard &shard, GroupScratch &scratch, Job &job,
+                       const BatchRunResult &r)
+{
+    if (!job.tryTransition(JobState::Running, JobState::Done)) {
+        // The watchdog answered `timeout` while we were computing;
+        // the result (if any lane ran) is discarded but still counted.
         std::lock_guard<std::mutex> lock(shard.statsMutex);
-        shard.stats.counter("batch.groups").inc();
-        shard.stats.counter("batch.lanes").inc(lanes);
-        shard.stats.histogram("batch.lanesPerGroup").sample(lanes);
-        if (group.size() > 1)
-            shard.stats.counter("batch.coalescedJobs")
-                .inc(group.size() - 1);
+        shard.stats.counter("jobs.lateResults").inc();
+        return;
     }
+    const OutcomeSummary summary = summarizeOutcome(
+        *job.spec.info, job.spec.request, r.entry->analysis,
+        r.entry->mdes, r.lsq ? &*r.lsq : nullptr, r.sw ? &*r.sw : nullptr,
+        r.nachos ? &*r.nachos : nullptr);
+    std::string &buf = scratch.encode;
+    buf.clear(); // keeps capacity: steady state reuses the arena
+    appendResultResponse(buf, job.requestId, summary);
+    buf += '\n';
+    if (job.respondBytes)
+        job.respondBytes(buf);
+    else
+        job.respond(resultResponse(job.requestId, encodeOutcome(summary)));
+
+    const uint64_t totalMicros =
+        microsBetween(job.enqueued, clock_t_::now());
+    const bool bulk = job.spec.klass == AdmitClass::Bulk;
+    std::lock_guard<std::mutex> lock(shard.statsMutex);
+    shard.stats.counter("jobs.completed").inc();
+    // Firing-plan observability: fold each backend run's plan counters
+    // into the shard stats so metricsSnapshot() exposes suite-wide
+    // fusion coverage (mirrors the suite --json "fusion" record).
+    // Cache-served sims report their cached counters — per-job
+    // visibility, not unique-sim accounting.
+    for (const std::optional<SimResult> *sim : {&r.lsq, &r.sw, &r.nachos}) {
+        if (!*sim)
+            continue;
+        shard.stats.counter("plan.eventsDispatched")
+            .inc((*sim)->planEventsDispatched);
+        shard.stats.counter("plan.eventsElided")
+            .inc((*sim)->planEventsElided);
+        shard.stats.counter("plan.macroOps").inc((*sim)->planMacroOps);
+        shard.stats.counter("plan.fusedOps").inc((*sim)->planFusedOps);
+    }
+    const StageTimes &times = r.times;
+    shard.stats.histogram("latency.synthMicros")
+        .sample(secondsToMicros(times.synthSeconds));
+    shard.stats.histogram("latency.analysisMicros")
+        .sample(secondsToMicros(times.analysisSeconds));
+    shard.stats.histogram("latency.mdeMicros")
+        .sample(secondsToMicros(times.mdeSeconds));
+    shard.stats.histogram("latency.simMicros")
+        .sample(secondsToMicros(times.simSeconds));
+    shard.stats.histogram("latency.totalMicros").sample(totalMicros);
+    shard.stats
+        .histogram(bulk ? "latency.bulk.totalMicros"
+                        : "latency.interactive.totalMicros")
+        .sample(totalMicros);
 }
 
 void

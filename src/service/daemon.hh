@@ -21,14 +21,18 @@
  *            response per request no matter who wins the race.
  *
  * Each shard owns a dual-class JobQueue (interactive and bulk rings
- * with separate bounds), a BatchSimEngine whose HierarchyPool
- * persists across jobs, and a reusable encode buffer. Bulk jobs that
- * agree on region work are claimed as one group and executed as a
- * single multi-lane batched simulate; the front end (synthesis +
- * alias pipeline + MDEs) is served from a daemon-wide LRU
- * RegionCache. Results are encoded straight into the shard's buffer
- * (protocol appendResultResponse), so the steady-state request path
- * performs no per-request heap allocation.
+ * with separate bounds), a HierarchyPool that persists across jobs,
+ * and reusable claim/encode buffers. Bulk jobs that agree on region
+ * work are claimed as one group and run lane by lane (harness
+ * runGroup: one pooled simulate() per requested backend); the front
+ * end (synthesis + alias pipeline + MDEs) is served from a
+ * daemon-wide LRU RegionCache. Lanes are the unit of scheduling:
+ * between two lanes the worker serves every queued job of its own
+ * interactive ring, skips the lanes of members the watchdog already
+ * answered, and answers each member as soon as its own lanes are
+ * done. Results are encoded straight into a reused buffer (protocol
+ * appendResultResponse), so the steady-state response path performs
+ * no per-request heap allocation.
  *
  * Backpressure: per-class ring capacity bounds admission; a full ring
  * answers `queue_full` immediately. Shutdown: drain() stops the
@@ -50,13 +54,15 @@
 #include <thread>
 #include <vector>
 
-#include "cgra/batch_sim.hh"
 #include "harness/batch_run.hh"
 #include "service/job_queue.hh"
 #include "service/protocol.hh"
 #include "support/stats.hh"
 
 namespace nachos {
+
+/** Hard cap on the backend lanes of one coalesced bulk group. */
+constexpr uint32_t kMaxGroupLanes = 64;
 
 struct DaemonConfig
 {
@@ -73,8 +79,8 @@ struct DaemonConfig
     /** Resident (region, analysis, mdes) cache entries; 0 disables. */
     size_t regionCacheEntries = 64;
     /** Max total backend lanes per coalesced bulk group (1 disables
-     *  coalescing). Hard cap: BatchSimEngine::kMaxLanes. */
-    uint32_t maxBatchLanes = BatchSimEngine::kMaxLanes;
+     *  coalescing). Hard cap: kMaxGroupLanes. */
+    uint32_t maxBatchLanes = kMaxGroupLanes;
     /** Deadline applied to jobs that do not set one; 0 = none. */
     uint64_t defaultTimeoutMillis = 0;
 };
@@ -145,7 +151,15 @@ class Daemon
         std::map<uint64_t, std::weak_ptr<Job>> jobs;
     };
 
-    /** One slice of the serving plane: ring + worker + engine. */
+    /** Reused buffers of one executing group. */
+    struct GroupScratch
+    {
+        std::vector<std::shared_ptr<Job>> claim;
+        std::vector<BatchRunItem> items;
+        std::string encode; ///< response line
+    };
+
+    /** One slice of the serving plane: ring + worker + pool. */
     struct Shard
     {
         Shard(size_t interactiveCapacity, size_t bulkCapacity)
@@ -153,14 +167,17 @@ class Daemon
         {}
 
         JobQueue queue;
-        BatchSimEngine engine; ///< pools hierarchies across jobs
-        std::string encodeBuf; ///< reused response-line buffer
-        std::vector<std::shared_ptr<Job>> claimBuf; ///< reused group
-        std::vector<BatchRunItem> itemBuf;          ///< reused group
+        HierarchyPool pool; ///< reused by every lane the shard runs
+        GroupScratch group; ///< the claimed group
+        /** A job served between that group's lanes: never the group's
+         *  buffers, which stay live until the group finishes. */
+        GroupScratch interrupt;
         std::jthread worker;
         mutable std::mutex statsMutex;
         StatSet stats; ///< completed/latency/batch counters
     };
+
+    class GroupResponder;
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> conn);
@@ -171,16 +188,19 @@ class Daemon
     void handleCancel(const std::shared_ptr<Connection> &conn,
                       const Request &req);
     void shardLoop(uint32_t index);
-    void executeGroup(Shard &shard,
-                      std::vector<std::shared_ptr<Job>> &group);
-    void respondResult(Shard &shard, const std::shared_ptr<Job> &job,
-                       const OutcomeSummary &summary);
+    /** Run `scratch.claim`; serve the interactive ring between its
+     *  lanes iff `interruptible` (never for a job served there). */
+    void executeGroup(Shard &shard, GroupScratch &scratch,
+                      bool interruptible);
+    /** Claim and finish every queued job of the shard's own
+     *  interactive ring (called between the lanes of a group). */
+    void serveInteractive(Shard &shard);
+    void completeMember(Shard &shard, GroupScratch &scratch, Job &job,
+                        const BatchRunResult &result);
+    void failMember(Shard &shard, Job &job, const std::string &message);
     void watchdogLoop(std::stop_token st);
     void registerDeadline(std::shared_ptr<Job> job);
     void finishJob(); ///< outstanding-- and wake drain()
-
-    /** Legacy single-lane execution (PR3-faithful A/B baseline)? */
-    bool legacyExecution() const;
 
     void sendTo(const std::shared_ptr<Connection> &conn,
                 const JsonValue &v);

@@ -47,17 +47,8 @@ JobQueue::claim(std::vector<std::shared_ptr<Job>> &out, uint32_t maxLanes,
     const auto deadline = std::chrono::steady_clock::now() + wait;
     while (true) {
         // Interactive first: claimed singly, never coalesced.
-        while (!interactive_.empty()) {
-            std::shared_ptr<Job> job = std::move(interactive_.front());
-            interactive_.pop_front();
-            // The CAS happens while we still hold the ring lock, so a
-            // claimed job can never be seen as Queued by the watchdog.
-            if (job->tryTransition(JobState::Queued, JobState::Running)) {
-                out.push_back(std::move(job));
-                return 1;
-            }
-            // Corpse (cancelled/timed out while queued): drop it.
-        }
+        if (claimInteractiveLocked(out))
+            return 1;
 
         while (!bulk_.empty()) {
             std::shared_ptr<Job> leader = std::move(bulk_.front());
@@ -80,10 +71,9 @@ JobQueue::claim(std::vector<std::shared_ptr<Job>> &out, uint32_t maxLanes,
                 }
                 // sameRegionWork is deliberately machine-independent
                 // (front-end results are shared across machine sweeps),
-                // so coalescing must separately require an identical
-                // machine config: the batch engine shares one operand
-                // network across lanes, and a group's pooled hierarchy
-                // slots may only be reused under sameAs geometry.
+                // so coalescing separately requires an identical
+                // machine config: a group's lanes then reuse the
+                // shard's pooled hierarchy without rebuilding it.
                 if (!cand.coalescible() ||
                     !sameRegionWork(*lead.spec.info, lead.spec.request,
                                     *cand.spec.info, cand.spec.request) ||
@@ -119,6 +109,31 @@ JobQueue::claim(std::vector<std::shared_ptr<Job>> &out, uint32_t maxLanes,
             }))
             return 0; // timed out still empty
     }
+}
+
+size_t
+JobQueue::claimInteractive(std::vector<std::shared_ptr<Job>> &out)
+{
+    out.clear();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return claimInteractiveLocked(out) ? 1 : 0;
+}
+
+bool
+JobQueue::claimInteractiveLocked(std::vector<std::shared_ptr<Job>> &out)
+{
+    while (!interactive_.empty()) {
+        std::shared_ptr<Job> job = std::move(interactive_.front());
+        interactive_.pop_front();
+        // The CAS happens while we still hold the ring lock, so a
+        // claimed job can never be seen as Queued by the watchdog.
+        if (job->tryTransition(JobState::Queued, JobState::Running)) {
+            out.push_back(std::move(job));
+            return true;
+        }
+        // Corpse (cancelled/timed out while queued): drop it.
+    }
+    return false;
 }
 
 bool

@@ -21,10 +21,11 @@
  * claim() also performs bulk coalescing: consecutive-enough bulk jobs
  * that agree on their region work (harness sameRegionWork) AND their
  * machine overrides are claimed as one group, which the shard then
- * executes as a single multi-lane batched simulate. Region work and
+ * runs lane by lane behind one cached front end. Region work and
  * machine config are separate axes on purpose: the region cache spans
- * machine configs, but one batched simulate cannot (shared network,
- * pooled hierarchies).
+ * machine configs, while a machine-homogeneous group reuses one pooled
+ * hierarchy for all its lanes. Between those lanes the worker takes
+ * jobs from its interactive ring alone (claimInteractive).
  */
 
 #ifndef NACHOS_SERVICE_JOB_QUEUE_HH
@@ -83,7 +84,7 @@ struct Job
         return state.compare_exchange_strong(from, to);
     }
 
-    /** Eligible for cross-request batching? (Bulk, no test delay.) */
+    /** Eligible for cross-request coalescing? (Bulk, no test delay.) */
     bool
     coalescible() const
     {
@@ -129,6 +130,15 @@ class JobQueue
                  uint32_t maxLanes, std::chrono::milliseconds wait);
 
     /**
+     * Non-blocking, interactive-only claim: the next live interactive
+     * job into `out` (cleared first), with the same Queued -> Running
+     * transition under the ring lock as claim(). Returns 1, or 0 when
+     * the interactive ring holds no live job. A worker calls this
+     * between the lanes of a bulk group.
+     */
+    size_t claimInteractive(std::vector<std::shared_ptr<Job>> &out);
+
+    /**
      * Cancel a still-queued job (matched by pointer identity).
      * Performs Queued -> Cancelled; false if the job already left the
      * queue or the Queued state.
@@ -143,6 +153,9 @@ class JobQueue
     bool closed() const;
 
   private:
+    /** Pop corpses, claim the first live interactive job; lock held. */
+    bool claimInteractiveLocked(std::vector<std::shared_ptr<Job>> &out);
+
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::deque<std::shared_ptr<Job>> interactive_;

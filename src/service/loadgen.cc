@@ -22,16 +22,6 @@ microsSince(clock_t_::time_point t0, clock_t_::time_point t1)
             .count());
 }
 
-/** Per-client tally, merged after the threads join. */
-struct ClientTally
-{
-    uint64_t sent = 0;
-    uint64_t completed = 0;
-    uint64_t errors = 0;
-    uint64_t protocolErrors = 0;
-    LatencyHistogram latency;
-};
-
 JsonValue
 buildRequest(const LoadGenConfig &config)
 {
@@ -66,7 +56,7 @@ connect(const LoadGenConfig &config, std::string *error)
 }
 
 void
-classify(const std::optional<JsonValue> &response, ClientTally &tally)
+classify(const std::optional<JsonValue> &response, LoadGenResult &tally)
 {
     const JsonValue *type =
         response ? response->find("type") : nullptr;
@@ -82,7 +72,7 @@ classify(const std::optional<JsonValue> &response, ClientTally &tally)
 
 /** Closed loop: one request in flight, send -> wait -> repeat. */
 void
-closedLoopClient(const LoadGenConfig &config, ClientTally &tally)
+closedLoopClient(const LoadGenConfig &config, LoadGenResult &tally)
 {
     std::unique_ptr<ServiceClient> client = connect(config, nullptr);
     if (!client) {
@@ -99,7 +89,7 @@ closedLoopClient(const LoadGenConfig &config, ClientTally &tally)
         }
         ++tally.sent;
         std::optional<JsonValue> response = client->waitFor(i + 1);
-        tally.latency.sample(microsSince(t0, clock_t_::now()));
+        tally.latencyMicros.sample(microsSince(t0, clock_t_::now()));
         classify(response, tally);
         if (!response)
             return; // EOF; counted above
@@ -107,15 +97,14 @@ closedLoopClient(const LoadGenConfig &config, ClientTally &tally)
 }
 
 /**
- * Open loop: a sender thread launches requests on a fixed schedule
- * while this thread reads responses and matches them to send times.
- * ServiceClient is not generally thread-safe, but sendRequest touches
- * only the fd while readLine/readResponse touch only the rx buffer,
- * so the one-sender/one-reader split is sound.
+ * Open loop over one connection. ServiceClient is not generally
+ * thread-safe, but sendRequest touches only the fd while
+ * readLine/readResponse touch only the rx buffer, so runOpenLoop's
+ * one-sender/one-reader split is sound.
  */
 void
 openLoopClient(const LoadGenConfig &config, double perClientRps,
-               ClientTally &tally)
+               LoadGenResult &tally)
 {
     std::unique_ptr<ServiceClient> client = connect(config, nullptr);
     if (!client) {
@@ -130,24 +119,32 @@ openLoopClient(const LoadGenConfig &config, double perClientRps,
         clock_t_::duration>(std::chrono::duration<double>(
         1.0 / perClientRps));
 
-    std::mutex sendMutex;
-    std::vector<clock_t_::time_point> sendTimes(total);
+    JsonValue request = buildRequest(config);
+    OpenLoopIo io;
+    io.send = [&](uint64_t id) {
+        request.set("id", id);
+        return client->sendRequest(request);
+    };
+    io.receive = [&] { return client->readResponse(); };
+    runOpenLoop(total, interval, io, tally);
+}
+
+} // namespace
+
+void
+runOpenLoop(uint64_t total, std::chrono::steady_clock::duration interval,
+            const OpenLoopIo &io, LoadGenResult &result)
+{
     // Requests the reader should expect; the sender lowers it if a
     // send fails (the connection is broken then, so the reader's
     // blocking read resolves as EOF rather than hanging).
     std::atomic<uint64_t> expected{total};
+    const clock_t_::time_point start = clock_t_::now();
 
     std::thread sender([&] {
-        const clock_t_::time_point start = clock_t_::now();
-        JsonValue request = buildRequest(config);
         for (uint64_t i = 0; i < total; ++i) {
             std::this_thread::sleep_until(start + interval * i);
-            request.set("id", i + 1);
-            {
-                std::lock_guard<std::mutex> lock(sendMutex);
-                sendTimes[i] = clock_t_::now();
-            }
-            if (!client->sendRequest(request)) {
+            if (!io.send(i + 1)) {
                 expected.store(i);
                 return;
             }
@@ -156,29 +153,28 @@ openLoopClient(const LoadGenConfig &config, double perClientRps,
 
     uint64_t received = 0;
     while (received < expected.load()) {
-        std::optional<JsonValue> response = client->readResponse();
+        std::optional<JsonValue> response = io.receive();
         if (!response) {
             // EOF: whatever is still unanswered is a protocol error.
             break;
         }
         const clock_t_::time_point now = clock_t_::now();
         ++received;
-        classify(response, tally);
+        classify(response, result);
         const JsonValue *id = response->find("id");
         if (id && id->isU64() && id->asU64() >= 1 &&
             id->asU64() <= total) {
-            std::lock_guard<std::mutex> lock(sendMutex);
-            tally.latency.sample(
-                microsSince(sendTimes[id->asU64() - 1], now));
+            // From the due time, not the actual send (see header).
+            const clock_t_::time_point due =
+                start + interval * (id->asU64() - 1);
+            result.latencyMicros.sample(microsSince(due, now));
         }
     }
     sender.join();
-    tally.sent = expected.load();
-    if (received < tally.sent)
-        tally.protocolErrors += tally.sent - received;
+    result.sent += expected.load();
+    if (received < expected.load())
+        result.protocolErrors += expected.load() - received;
 }
-
-} // namespace
 
 bool
 runLoadGen(const LoadGenConfig &config, LoadGenResult &result,
@@ -192,12 +188,12 @@ runLoadGen(const LoadGenConfig &config, LoadGenResult &result,
     }
 
     const unsigned clients = config.clients ? config.clients : 1;
-    std::vector<ClientTally> tallies(clients);
+    std::vector<LoadGenResult> tallies(clients);
     std::vector<std::thread> threads;
     threads.reserve(clients);
     const clock_t_::time_point begin = clock_t_::now();
     for (unsigned c = 0; c < clients; ++c) {
-        ClientTally &tally = tallies[c];
+        LoadGenResult &tally = tallies[c];
         if (config.openRps > 0) {
             const double perClient = config.openRps / clients;
             threads.emplace_back([&config, perClient, &tally] {
@@ -214,12 +210,12 @@ runLoadGen(const LoadGenConfig &config, LoadGenResult &result,
     result.wallSeconds = std::chrono::duration<double>(
                              clock_t_::now() - begin)
                              .count();
-    for (const ClientTally &tally : tallies) {
+    for (const LoadGenResult &tally : tallies) {
         result.sent += tally.sent;
         result.completed += tally.completed;
         result.errors += tally.errors;
         result.protocolErrors += tally.protocolErrors;
-        result.latencyMicros.merge(tally.latency);
+        result.latencyMicros.merge(tally.latencyMicros);
     }
     return true;
 }

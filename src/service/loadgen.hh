@@ -16,7 +16,10 @@
 #ifndef NACHOS_SERVICE_LOADGEN_HH
 #define NACHOS_SERVICE_LOADGEN_HH
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,7 +67,9 @@ struct LoadGenResult
     uint64_t completed = 0;      ///< `result` responses
     uint64_t errors = 0;         ///< well-formed `error` responses
     uint64_t protocolErrors = 0; ///< EOF / unparseable / wrong type
-    LatencyHistogram latencyMicros; ///< send -> response, per request
+    /** Per request: send -> response (closed loop), due time ->
+     *  response (open loop; see runOpenLoop). */
+    LatencyHistogram latencyMicros;
     double wallSeconds = 0;
 
     double
@@ -73,6 +78,32 @@ struct LoadGenResult
         return wallSeconds > 0 ? completed / wallSeconds : 0;
     }
 };
+
+/**
+ * One open-loop client's traffic, kept apart from its connection so the
+ * schedule can be driven (and tested) on its own.
+ */
+struct OpenLoopIo
+{
+    /** Launch request `id` (1-based); false = the connection broke. */
+    std::function<bool(uint64_t id)> send;
+    /** Block for the next response; nullopt on EOF. */
+    std::function<std::optional<JsonValue>()> receive;
+};
+
+/**
+ * Launch `total` requests on a fixed schedule — request i + 1 is due at
+ * start + i * interval — from a sender thread while this thread reads
+ * the responses, and tally them into `result` (sent, completed, errors,
+ * protocolErrors, latencyMicros). Latency counts from each request's
+ * due time, not from when send() returned: a sender that falls behind
+ * (a stalled send, a descheduled thread) delays every later request,
+ * and timing from the actual send would hide that delay (coordinated
+ * omission).
+ */
+void runOpenLoop(uint64_t total,
+                 std::chrono::steady_clock::duration interval,
+                 const OpenLoopIo &io, LoadGenResult &result);
 
 /**
  * Run the configured load. Returns false (with *error filled) only on

@@ -10,8 +10,9 @@
  *           [--max-batch-lanes N] [--default-timeout-ms N] [--quiet]
  *
  * --workers is the shard count: each worker owns its own job rings
- * and batch engine. --region-cache 0 --max-batch-lanes 1 reverts to
- * the pre-shard single-lane execution path (the A/B baseline).
+ * and hierarchy pool. --max-batch-lanes 1 turns bulk coalescing off
+ * and --region-cache 0 rebuilds every front end (the A/B baseline);
+ * both run on the one execution path.
  */
 
 #include <csignal>
@@ -82,7 +83,7 @@ main(int argc, char *argv[])
         } else if (arg == "--max-batch-lanes") {
             config.maxBatchLanes = static_cast<uint32_t>(parseCount(
                 "--max-batch-lanes", value("--max-batch-lanes"), 1,
-                nachos::BatchSimEngine::kMaxLanes));
+                nachos::kMaxGroupLanes));
         } else if (arg == "--default-timeout-ms") {
             config.defaultTimeoutMillis =
                 parseCount("--default-timeout-ms",

@@ -72,28 +72,6 @@ class CalendarQueue
     }
 
     /**
-     * Move the clock back to `cycle` (<= now()). Only legal while the
-     * queue is empty: pop() leaves the just-drained bucket's storage,
-     * occupancy bit and cursor in place, so they are cleared here
-     * before the slot can be reused for a different cycle. Used by the
-     * batch engine, whose lanes begin their next invocation below the
-     * global clock reached by slower lanes in the previous one.
-     */
-    void
-    rewind(uint64_t cycle)
-    {
-        NACHOS_ASSERT(size_ == 0, "rewind of a non-empty event queue (",
-                      size_, " events pending)");
-        NACHOS_ASSERT(cycle <= now_, "rewind forwards: cycle ", cycle,
-                      " now ", now_);
-        const size_t slot = now_ & (BucketCount - 1);
-        ring_[slot].clear();
-        clearOccupied(slot);
-        cursor_ = 0;
-        now_ = cycle;
-    }
-
-    /**
      * Remove and return the earliest event, advancing now() to its
      * cycle. Must not be called on an empty queue.
      */

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analysis/pipeline.hh"
-#include "cgra/batch_sim.hh"
 #include "cgra/simulator.hh"
 #include "ir/serialize.hh"
 #include "mde/inserter.hh"
@@ -261,7 +260,12 @@ checkRegion(const Region &region, const FuzzOptions &opts)
 
     // One lane per backend run, in the historical check order: the
     // OPT-LSQ bank sweep, then NACHOS-SW, then NACHOS.
-    std::vector<BatchLane> lanes;
+    struct Lane
+    {
+        BackendKind kind;
+        SimConfig cfg;
+    };
+    std::vector<Lane> lanes;
     std::vector<std::string> labels;
     for (uint32_t banks : opts.lsqBankSweep) {
         SimConfig lsq_cfg = cfg;
@@ -274,21 +278,14 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     lanes.push_back({BackendKind::Nachos, cfg});
     labels.push_back("nachos");
 
+    // Worker-thread-local pool: the hierarchy survives across lanes
+    // and cases, so steady-state fuzzing reconstructs nothing.
+    thread_local HierarchyPool pool;
     std::vector<SimResult> results;
-    if (opts.batchedSim) {
-        // Worker-thread-local engine: the hierarchy pool survives
-        // across cases, so steady-state fuzzing reconstructs nothing.
-        thread_local BatchSimEngine engine;
-        results = engine.run(region, mdes, lanes);
-    } else {
-        // Same pooling for the sequential mode: hierarchy
-        // construction would otherwise dominate every lane.
-        thread_local HierarchyPool pool;
-        results.reserve(lanes.size());
-        for (const BatchLane &lane : lanes)
-            results.push_back(
-                simulate(region, mdes, lane.kind, lane.cfg, pool));
-    }
+    results.reserve(lanes.size());
+    for (const Lane &lane : lanes)
+        results.push_back(
+            simulate(region, mdes, lane.kind, lane.cfg, pool));
     for (size_t i = 0; i < lanes.size(); ++i)
         checkRun(region, ref, results[i], labels[i], opts.invocations,
                  must, out);
@@ -296,22 +293,12 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     if (opts.fusionDifferential) {
         // Same lanes with fusion inverted: the firing plan's identity
         // contract says every result surface is byte-identical.
-        std::vector<BatchLane> alt = lanes;
-        for (BatchLane &lane : alt)
-            lane.cfg.fusion = !opts.fusion;
-        std::vector<SimResult> altResults;
-        if (opts.batchedSim) {
-            thread_local BatchSimEngine engine;
-            altResults = engine.run(region, mdes, alt);
-        } else {
-            thread_local HierarchyPool pool;
-            altResults.reserve(alt.size());
-            for (const BatchLane &lane : alt)
-                altResults.push_back(
-                    simulate(region, mdes, lane.kind, lane.cfg, pool));
-        }
         for (size_t i = 0; i < lanes.size(); ++i) {
-            std::string diff = fusionDiff(results[i], altResults[i]);
+            SimConfig alt = lanes[i].cfg;
+            alt.fusion = !opts.fusion;
+            std::string diff = fusionDiff(
+                results[i],
+                simulate(region, mdes, lanes[i].kind, alt, pool));
             if (!diff.empty())
                 out.push_back({"fusion-differential", labels[i],
                                std::move(diff)});
@@ -385,8 +372,7 @@ runFuzz(uint64_t start_seed, uint64_t num_seeds, const FuzzOptions &opts,
     ThreadPool pool(std::max(1u, threads));
     // Seeds are handed to workers in groups, not one job per seed:
     // a group amortizes ThreadPool dispatch and keeps each worker's
-    // thread-local batch engine (and its hierarchy pool) hot across
-    // consecutive cases. Groups preserve seed order within a chunk,
+    // thread-local hierarchy pool hot across consecutive cases. Groups preserve seed order within a chunk,
     // so results are deterministic at any thread count.
     const uint64_t group = 8;
     const uint64_t chunk =

@@ -78,15 +78,6 @@ struct FuzzOptions
     uint64_t metamorphicSlackPerInvocation = 4;
     /** Shrink failing regions before reporting. */
     bool shrinkFailures = true;
-    /**
-     * Run the backend sweep as ONE batched simulation (cgra/batch_sim)
-     * instead of sequential simulate() calls. Verdicts are identical
-     * either way (the batch engine's byte-identity guarantee, itself
-     * fuzzed via the sequential path); batching shares the firing
-     * tables, one calendar walk, and a per-thread hierarchy pool
-     * across the six lanes, which dominates fuzzer throughput.
-     */
-    bool batchedSim = true;
     /** Macro-op fusion (SimConfig::fusion) on the primary runs. */
     bool fusion = true;
     /**

@@ -124,15 +124,25 @@ TEST(RegionCache, SimulationDoesNotMutateCachedEntries)
     ASSERT_TRUE(RegionCache::entryIntact(*entry));
 
     // Simulate every backend against the cached front end, twice,
-    // through the same batched path the daemon uses.
-    BatchSimEngine engine;
+    // through the same grouped path the daemon uses.
+    struct Hits : GroupHooks
+    {
+        std::vector<bool> cacheHit;
+        void
+        memberDone(size_t, BatchRunResult &r) override
+        {
+            cacheHit.push_back(r.cacheHit);
+        }
+    };
+    HierarchyPool pool;
     for (int round = 0; round < 2; ++round) {
         RunRequest req = request(3);
         req.invocationsOverride = 2;
         const std::vector<BatchRunItem> items{{&info, &req}};
-        const auto results = runBatchedGroup(items, cache, engine);
-        ASSERT_EQ(results.size(), 1u);
-        EXPECT_TRUE(results[0].cacheHit);
+        Hits hits;
+        runGroup(items, cache, pool, hits);
+        ASSERT_EQ(hits.cacheHit.size(), 1u);
+        EXPECT_TRUE(hits.cacheHit[0]);
         EXPECT_TRUE(RegionCache::entryIntact(*entry)) << round;
     }
     EXPECT_EQ(regionToString(entry->region), before);

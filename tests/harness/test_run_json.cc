@@ -111,7 +111,6 @@ TEST(RunRequest, EncodeDecodeRoundTrip)
     spec.request.runLsq = false;
     spec.request.pipeline.stage4 = false;
     spec.request.invocationsOverride = 17;
-    spec.request.batchSim = true;
     spec.timeoutMillis = 250;
 
     JobSpec decoded;
@@ -125,11 +124,38 @@ TEST(RunRequest, EncodeDecodeRoundTrip)
     EXPECT_TRUE(decoded.request.runSw);
     EXPECT_FALSE(decoded.request.pipeline.stage4);
     EXPECT_EQ(decoded.request.invocationsOverride, 17u);
-    EXPECT_TRUE(decoded.request.batchSim);
     EXPECT_EQ(decoded.timeoutMillis, 250u);
     // Round-trips to identical bytes as well.
     EXPECT_EQ(dumpJson(encodeRunRequest(decoded)),
               dumpJson(encodeRunRequest(spec)));
+}
+
+// 'batchSim' named the removed batched engine. For one protocol
+// version it is still accepted (and type-checked) but ignored: the
+// decoded request is exactly the one without it, and encoding never
+// emits it.
+TEST(RunRequest, BatchSimIsAcceptedAndIgnored)
+{
+    JobSpec plain;
+    CodecError err;
+    ASSERT_TRUE(decodeRunRequest(
+        mustParse(R"({"workload":"164.gzip","seed":4})"), plain, err))
+        << err.code << ": " << err.message;
+    const std::string want = dumpJson(encodeRunRequest(plain));
+    for (const char *json :
+         {R"({"workload":"164.gzip","seed":4,"batchSim":true})",
+          R"({"workload":"164.gzip","seed":4,"batchSim":false})"}) {
+        JobSpec spec;
+        ASSERT_TRUE(decodeRunRequest(mustParse(json), spec, err))
+            << json << " -> " << err.code << ": " << err.message;
+        EXPECT_EQ(dumpJson(encodeRunRequest(spec)), want) << json;
+    }
+    EXPECT_EQ(want.find("batchSim"), std::string::npos);
+
+    JobSpec spec;
+    EXPECT_FALSE(decodeRunRequest(
+        mustParse(R"({"workload":"164.gzip","batchSim":1})"), spec, err));
+    EXPECT_EQ(err.code, "bad_request");
 }
 
 TEST(Outcome, EncodeDecodeRoundTripOnRealRun)
@@ -210,7 +236,7 @@ TEST(RunRequest, AdmissionClassRoundTrips)
 
 TEST(Outcome, PartsSummaryMatchesWholeOutcome)
 {
-    // The daemon's batched path summarizes from cache-entry parts and
+    // The daemon's grouped path summarizes from cache-entry parts and
     // per-lane SimResults; it must agree with the whole-outcome
     // overload byte for byte.
     const BenchmarkInfo *info = findBenchmark("179.art");

@@ -45,40 +45,6 @@ TEST(Runner, SelectiveBackends)
     EXPECT_TRUE(out.nachos.has_value());
 }
 
-TEST(Runner, BatchedSimMatchesSequential)
-{
-    for (const char *name : {"parser", "gzip"}) {
-        RunRequest req;
-        req.invocationsOverride = 4;
-        RunOutcome seq = runWorkload(benchmarkByName(name), req);
-        req.batchSim = true;
-        RunOutcome batched = runWorkload(benchmarkByName(name), req);
-        ASSERT_TRUE(batched.lsq && batched.sw && batched.nachos)
-            << name;
-        for (auto pick : {&RunOutcome::lsq, &RunOutcome::sw,
-                          &RunOutcome::nachos}) {
-            const SimResult &a = *((batched.*pick));
-            const SimResult &b = *((seq.*pick));
-            EXPECT_EQ(a.cycles, b.cycles) << name;
-            EXPECT_EQ(a.loadValueDigest, b.loadValueDigest) << name;
-            EXPECT_EQ(a.memImage, b.memImage) << name;
-            EXPECT_EQ(a.stats.dump(), b.stats.dump()) << name;
-        }
-    }
-}
-
-TEST(Runner, BatchedSelectiveBackends)
-{
-    RunRequest req;
-    req.runLsq = false;
-    req.batchSim = true;
-    req.invocationsOverride = 2;
-    RunOutcome out = runWorkload(benchmarkByName("gzip"), req);
-    EXPECT_FALSE(out.lsq.has_value());
-    EXPECT_TRUE(out.sw.has_value());
-    EXPECT_TRUE(out.nachos.has_value());
-}
-
 TEST(Runner, MachineOverridesChangeTiming)
 {
     RunRequest base;

@@ -79,6 +79,29 @@ TEST_F(OptLsqTest, DrainedStoreInvisibleToSearch)
     EXPECT_EQ(dec.kind, LoadSearchResult::Kind::ToCache);
 }
 
+// A younger overlapping store that drained first already wrote part of
+// the load's bytes: forwarding an older exact match past it would hand
+// the load stale data, so the load waits for the match to commit and
+// reads the cache instead.
+TEST_F(OptLsqTest, NoForwardingPastADrainedYoungerOverlap)
+{
+    lsq.addressReady(0, true, 0x100, 8, 0); // exact match, older
+    lsq.addressReady(1, true, 0x104, 8, 0); // overlaps bytes 4..7
+    lsq.storeDataArrived(0, 2);
+    lsq.storeDataArrived(1, 2);
+    ASSERT_TRUE(lsq.storeCommitted(0) && lsq.storeCommitted(1));
+    lsq.storeDrained(1); // store 0's write is still in flight
+    auto a = lsq.addressReady(2, false, 0x100, 8, 10);
+    ASSERT_EQ(a.size(), 1u);
+    const LoadSearchResult dec = lsq.loadSearch(2, a[0].second);
+    EXPECT_EQ(dec.kind, LoadSearchResult::Kind::WaitCommit);
+    EXPECT_EQ(dec.store, 0u);
+    EXPECT_EQ(stats.get("lsq.forwards"), 0u);
+    const LoadWaitStatus st = lsq.loadWaitStatus(2);
+    EXPECT_EQ(st.blockingStore, LoadWaitStatus::kNone);
+    EXPECT_EQ(st.commitFloor, lsq.storeCommitCycle(0) + 1);
+}
+
 TEST_F(OptLsqTest, StoresCommitInProgramOrder)
 {
     lsq.addressReady(0, true, 0x100, 8, 0);

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -616,7 +618,7 @@ TEST_F(DaemonTest, DefaultTimeoutAppliesWhenJobSetsNone)
     EXPECT_EQ(errorCode(*response), "timeout");
 }
 
-// ---- serving-plane rework: batching, cache, classes, legacy mode ----
+// ---- serving plane: coalescing, cache, classes, lane scheduling ----
 
 // A coalesced bulk burst returns per-request-correct, byte-identical
 // results, and the cache/batch metrics add up:
@@ -706,8 +708,9 @@ TEST_F(DaemonTest, PerClassQueueBounds)
     EXPECT_EQ(counterValue("jobs.rejected"), 1u);
 }
 
-// Legacy mode (--max-batch-lanes 1 --region-cache 0) serves the same
-// bytes through the PR3-faithful runWorkload path.
+// The A/B baseline shape (--max-batch-lanes 1 --region-cache 0) runs
+// on the one execution path as singleton groups behind a build-always
+// cache, and serves the same bytes as the direct runner.
 TEST_F(DaemonTest, LegacyModeMatchesDirectRunner)
 {
     DaemonConfig config;
@@ -732,10 +735,220 @@ TEST_F(DaemonTest, LegacyModeMatchesDirectRunner)
     }
     waitUntil([&] { return counterValue("jobs.completed") == 4; },
               "the accounting to settle");
-    // No batching, no cache in legacy mode.
-    EXPECT_EQ(counterValue("batch.groups"), 0u);
+    // Four singleton groups, each building its own front end.
+    EXPECT_EQ(counterValue("batch.groups"), 4u);
+    EXPECT_EQ(counterValue("batch.lanes"), 4u);
+    EXPECT_EQ(counterValue("batch.coalescedJobs"), 0u);
+    EXPECT_EQ(counterValue("cache.misses"), 4u);
+    EXPECT_EQ(counterValue("cache.hits"), 0u);
+}
+
+/** Reads `n` responses off `client` and returns their ids in arrival
+ *  order, keeping each response for later inspection. */
+std::vector<uint64_t>
+readInArrivalOrder(ServiceClient &client, size_t n,
+                   std::map<uint64_t, JsonValue> &byId)
+{
+    std::vector<uint64_t> order;
+    while (order.size() < n) {
+        std::optional<JsonValue> response = client.readResponse();
+        if (!response)
+            break; // EOF: the caller's size check reports it
+        const JsonValue *id = response->find("id");
+        const uint64_t value = id && id->isU64() ? id->asU64() : 0;
+        order.push_back(value);
+        byId.emplace(value, std::move(*response));
+    }
+    return order;
+}
+
+// Lanes are the unit of scheduling: an interactive job admitted while
+// a coalesced bulk group runs is claimed at the next lane boundary and
+// answered before the group's last member.
+TEST_F(DaemonTest, InteractiveJobIsServedBetweenBulkLanes)
+{
+    DaemonConfig config;
+    config.workers = 1;
+    startWith(config);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+
+    // A sleeper holds the worker while three identical bulk jobs
+    // queue up behind it, so they are claimed as one group.
+    RunOpts sleeper{.invocations = 1, .backends = {"nachos"}};
+    sleeper.sleepMillis = 100;
+    ASSERT_TRUE(client->sendRequest(runRequest(1, "164.gzip", sleeper)));
+    waitUntil(
+        [&] {
+            return counterValue("jobs.accepted") == 1 &&
+                   counterValue("queue.depth") == 0;
+        },
+        "the sleeper to start running");
+    // Six lanes of ~40k invocations each: the group runs for a few
+    // hundred milliseconds.
+    RunOpts bulk{.seed = 7, .invocations = 40'000,
+                 .backends = {"lsq", "nachos"}};
+    bulk.klass = "bulk";
+    for (uint64_t id = 2; id <= 4; ++id)
+        ASSERT_TRUE(client->sendRequest(runRequest(id, "164.gzip", bulk)));
+    waitUntil(
+        [&] {
+            return counterValue("jobs.accepted") == 4 &&
+                   counterValue("queue.depth") == 0;
+        },
+        "the bulk group to be claimed");
+
+    const RunOpts probe{.invocations = 2, .backends = {"nachos"}};
+    ASSERT_TRUE(client->sendRequest(runRequest(5, "179.art", probe)));
+
+    std::map<uint64_t, JsonValue> byId;
+    const std::vector<uint64_t> order =
+        readInArrivalOrder(*client, 5, byId);
+    ASSERT_EQ(order.size(), 5u);
+    const auto at = [&](uint64_t id) {
+        return std::find(order.begin(), order.end(), id) - order.begin();
+    };
+    EXPECT_LT(at(5), at(4)) << "the probe waited for the whole group";
+    for (const auto &[id, response] : byId)
+        EXPECT_STREQ(responseType(response), "result") << id;
+    EXPECT_EQ(dumpJson(*byId.at(5).find("outcome")),
+              directOutcomeJson("179.art", probe));
+
+    waitUntil([&] { return counterValue("jobs.completed") == 5; },
+              "the accounting to settle");
+    // The bulk jobs formed one group; the sleeper and the probe are
+    // singleton groups of their own, each with one front-end lookup.
+    EXPECT_EQ(counterValue("batch.coalescedJobs"), 2u);
+    EXPECT_EQ(counterValue("batch.groups"), 3u);
+    EXPECT_EQ(counterValue("batch.lanes"), 1u + 6u + 1u);
     EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
-              0u);
+              counterValue("batch.groups"));
+}
+
+// Serving interactive jobs between the lanes of a group never changes
+// what the group's members get: every bulk outcome (mixed backends and
+// invocation counts) stays byte-identical to a direct runWorkload, and
+// so does every interleaved interactive outcome.
+TEST_F(DaemonTest, InterleavedBulkOutcomesStayByteIdentical)
+{
+    DaemonConfig config;
+    config.workers = 1;
+    startWith(config);
+    auto bulkClient = connect();
+    auto probeClient = connect();
+    ASSERT_NE(bulkClient, nullptr);
+    ASSERT_NE(probeClient, nullptr);
+
+    RunOpts sleeper{.invocations = 1, .backends = {"nachos"}};
+    sleeper.sleepMillis = 100;
+    ASSERT_TRUE(
+        bulkClient->sendRequest(runRequest(1, "164.gzip", sleeper)));
+    waitUntil(
+        [&] {
+            return counterValue("jobs.accepted") == 1 &&
+                   counterValue("queue.depth") == 0;
+        },
+        "the sleeper to start running");
+
+    std::vector<RunOpts> bulk = {
+        {.seed = 3, .invocations = 20'000,
+         .backends = {"lsq", "sw", "nachos"}},
+        {.seed = 3, .invocations = 30'000, .backends = {"nachos"}},
+        {.seed = 3, .invocations = 10'000, .backends = {"sw"}},
+        {.seed = 3, .invocations = 25'000, .backends = {"lsq", "nachos"}},
+    };
+    for (size_t i = 0; i < bulk.size(); ++i) {
+        bulk[i].klass = "bulk";
+        ASSERT_TRUE(bulkClient->sendRequest(
+            runRequest(2 + i, "164.gzip", bulk[i])));
+    }
+    waitUntil(
+        [&] {
+            return counterValue("jobs.accepted") == 1 + bulk.size() &&
+                   counterValue("queue.depth") == 0;
+        },
+        "the bulk group to be claimed");
+
+    // Probe from a second connection, one at a time, while the group
+    // runs: each lands at some lane boundary.
+    const std::vector<RunOpts> probes = {
+        {.seed = 2, .invocations = 3, .backends = {"nachos"}},
+        {.seed = 5, .invocations = 2, .backends = {"lsq", "sw"}},
+        {.seed = 2, .invocations = 1, .backends = {"sw", "nachos"}},
+    };
+    for (size_t i = 0; i < probes.size(); ++i) {
+        std::optional<JsonValue> response = probeClient->call(
+            runRequest(100 + i, "179.art", probes[i]));
+        ASSERT_TRUE(response.has_value()) << i;
+        ASSERT_STREQ(responseType(*response), "result") << i;
+        EXPECT_EQ(dumpJson(*response->find("outcome")),
+                  directOutcomeJson("179.art", probes[i]))
+            << "probe " << i;
+    }
+
+    for (size_t i = 0; i < bulk.size(); ++i) {
+        std::optional<JsonValue> response = bulkClient->waitFor(2 + i);
+        ASSERT_TRUE(response.has_value()) << i;
+        ASSERT_STREQ(responseType(*response), "result") << i;
+        EXPECT_EQ(dumpJson(*response->find("outcome")),
+                  directOutcomeJson("164.gzip", bulk[i]))
+            << "bulk member " << i;
+    }
+
+    const uint64_t total = 1 + bulk.size() + probes.size();
+    waitUntil([&] { return counterValue("jobs.completed") == total; },
+              "the accounting to settle");
+    EXPECT_EQ(counterValue("batch.coalescedJobs"), bulk.size() - 1);
+    EXPECT_EQ(counterValue("jobs.accepted"),
+              counterValue("jobs.completed") +
+                  counterValue("jobs.cancelled") +
+                  counterValue("jobs.expired"));
+    EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
+              counterValue("batch.groups"));
+}
+
+// A member the watchdog answered with `timeout` while it ran is not
+// simulated any further: its remaining lanes are skipped (and counted)
+// at the next lane boundary, and the accounting still balances.
+TEST_F(DaemonTest, TimedOutMemberSkipsItsRemainingLanes)
+{
+    start(/*workers=*/1);
+    auto client = connect();
+    ASSERT_NE(client, nullptr);
+
+    // Each lane of 200k invocations runs far longer than the 20 ms
+    // deadline, so the job times out during its first lane.
+    RunOpts slow{.invocations = 200'000,
+                 .backends = {"lsq", "sw", "nachos"}};
+    slow.timeoutMillis = 20;
+    slow.klass = "bulk";
+    ASSERT_TRUE(client->sendRequest(runRequest(1, "164.gzip", slow)));
+    std::optional<JsonValue> timedOut = client->waitFor(1);
+    ASSERT_TRUE(timedOut.has_value());
+    EXPECT_EQ(errorCode(*timedOut), "timeout");
+    waitUntil([&] { return counterValue("jobs.lateResults") == 1; },
+              "the timed-out member to be settled");
+    EXPECT_EQ(counterValue("jobs.lanesSkipped"), 2u);
+
+    // The worker is free again and serves the next job normally.
+    const RunOpts fast{.invocations = 2, .backends = {"nachos"}};
+    std::optional<JsonValue> next =
+        client->call(runRequest(2, "164.gzip", fast));
+    ASSERT_TRUE(next.has_value());
+    ASSERT_STREQ(responseType(*next), "result");
+    EXPECT_EQ(dumpJson(*next->find("outcome")),
+              directOutcomeJson("164.gzip", fast));
+
+    waitUntil([&] { return counterValue("jobs.completed") == 1; },
+              "the accounting to settle");
+    EXPECT_EQ(counterValue("jobs.expired"), 1u);
+    EXPECT_EQ(counterValue("jobs.accepted"),
+              counterValue("jobs.completed") +
+                  counterValue("jobs.cancelled") +
+                  counterValue("jobs.expired"));
+    EXPECT_EQ(counterValue("jobs.outstanding"), 0u);
+    EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
+              counterValue("batch.groups"));
 }
 
 // The global admission invariant the metrics endpoint promises:

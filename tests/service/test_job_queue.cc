@@ -70,6 +70,33 @@ TEST(JobQueue, InteractiveHasPriorityOverBulk)
     EXPECT_EQ(claimOne(q)->requestId, 1u);
 }
 
+// The between-lanes claim: interactive ring only, never blocks, same
+// Queued -> Running transition under the ring lock, corpses dropped.
+TEST(JobQueue, ClaimInteractiveTakesOnlyLiveInteractiveJobs)
+{
+    JobQueue q(4, 4);
+    std::vector<std::shared_ptr<Job>> out;
+    ASSERT_TRUE(q.tryPush(makeJob(1, AdmitClass::Bulk)));
+    EXPECT_EQ(q.claimInteractive(out), 0u); // bulk is not eligible
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(q.depth(AdmitClass::Bulk), 1u);
+
+    auto corpse = makeJob(2);
+    auto live = makeJob(3);
+    ASSERT_TRUE(q.tryPush(corpse));
+    ASSERT_TRUE(q.tryPush(live));
+    ASSERT_TRUE(corpse->tryTransition(JobState::Queued, JobState::TimedOut));
+    ASSERT_EQ(q.claimInteractive(out), 1u);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out.front(), live);
+    EXPECT_EQ(live->state.load(), JobState::Running);
+    EXPECT_EQ(q.depth(AdmitClass::Interactive), 0u);
+
+    EXPECT_EQ(q.claimInteractive(out), 0u); // empty: returns at once
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(q.depth(AdmitClass::Bulk), 1u);
+}
+
 TEST(JobQueue, PerClassCapacityBoundsAdmission)
 {
     JobQueue q(1, 2);

@@ -163,47 +163,6 @@ TEST(CalendarQueue, PropertyMatchesPriorityQueueContract)
     }
 }
 
-TEST(CalendarQueue, RewindRestartsBelowTheClock)
-{
-    Queue q;
-    q.schedule(100, {0});
-    const auto first = drain(q);
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(q.now(), 100u);
-
-    // An empty queue may rewind; scheduling below the old clock and
-    // draining again behaves exactly like a fresh queue.
-    q.rewind(5);
-    EXPECT_EQ(q.now(), 5u);
-    q.schedule(5, {1});
-    q.schedule(7, {2});
-    q.schedule(5, {3});
-    const auto out = drain(q);
-    const std::vector<std::pair<uint64_t, uint32_t>> want{
-        {5, 1}, {5, 3}, {7, 2}};
-    EXPECT_EQ(out, want);
-}
-
-TEST(CalendarQueue, RewindClearsTheFinalRingBucket)
-{
-    // pop() leaves the last bucket allocated with the cursor mid-way;
-    // a rewind that lands a multiple of BucketCount below now() maps
-    // to the SAME ring slot and must not resurrect stale entries.
-    Queue q;
-    q.schedule(64, {0});
-    q.schedule(64, {1});
-    Ev ev;
-    (void)q.pop(ev);
-    (void)q.pop(ev);
-    ASSERT_TRUE(q.empty());
-
-    q.rewind(0); // slot 64 % 64 == slot 0
-    q.schedule(0, {2});
-    const auto out = drain(q);
-    const std::vector<std::pair<uint64_t, uint32_t>> want{{0, 2}};
-    EXPECT_EQ(out, want);
-}
-
 TEST(CalendarQueue, DrainWaveReturnsOneCycleInFifoOrder)
 {
     Queue q;
@@ -314,22 +273,6 @@ TEST(CalendarQueueDeathTest, DrainWaveAfterPartialPopIsFatal)
     (void)q.pop(ev); // leaves the bucket partially consumed
     std::vector<Ev> wave;
     EXPECT_DEATH(q.drainWave(wave), "partial pop");
-}
-
-TEST(CalendarQueueDeathTest, RewindOfNonEmptyQueueIsFatal)
-{
-    Queue q;
-    q.schedule(10, {0});
-    EXPECT_DEATH(q.rewind(0), "non-empty");
-}
-
-TEST(CalendarQueueDeathTest, RewindForwardsIsFatal)
-{
-    Queue q;
-    q.schedule(10, {0});
-    Ev ev;
-    (void)q.pop(ev);
-    EXPECT_DEATH(q.rewind(11), "forwards");
 }
 
 } // namespace

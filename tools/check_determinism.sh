@@ -1,25 +1,22 @@
 #!/usr/bin/env bash
 # Determinism check over the full bench suite: every suite bench must
 # print byte-identical stdout no matter how many workers carry it, and
-# the batch-capable benches must also print byte-identical stdout when
-# the sim stage runs through the batched engine (--batch) instead of
-# sequential simulate() calls, and when macro-op fusion is disabled
-# (--no-fusion) instead of the default fused firing plan.
+# the full-suite benches must also print byte-identical stdout when
+# macro-op fusion is disabled (--no-fusion) instead of the default
+# fused firing plan.
 #
 # usage: check_determinism.sh <bench-dir>
 #
 # Timing lines go to stderr by design (printSuiteTiming), so stdout is
 # the deterministic surface. Excluded: bench_micro (google-benchmark,
 # timing-only output), bench_service_throughput / bench_service_slo
-# (throughput numbers), bench_batch_sim (no --threads; its
-# batched-vs-sequential identity is checked internally and by
-# tests/cgra/test_batch_sim).
+# (throughput numbers).
 #
 # The final pass checks the serving plane: result lines served by a
-# sharded nachosd (region cache + batched sim enabled) must be
+# sharded nachosd (region cache + bulk coalescing enabled) must be
 # byte-identical to nachos_client --direct, which runs the same
 # decode/run/encode path in-process — across the cache-miss, the
-# cache-hit, and the coalesced-batch serving paths.
+# cache-hit, and the coalesced-group serving paths.
 
 set -u
 
@@ -46,8 +43,8 @@ bench_ablation_lsq
 bench_ablation_stages
 "
 
-# Full-suite benches whose sim stage honors --batch/--no-batch.
-BATCH_BENCHES="
+# Full-suite benches whose sim stage honors --fusion/--no-fusion.
+FUSION_BENCHES="
 bench_table2
 bench_fig11_sw_vs_lsq
 bench_fig12_baseline_compiler
@@ -92,22 +89,9 @@ for bench in $THREADED_BENCHES; do
     check "$bench" "$TMP/$bench.t1" "$TMP/$bench.t2" "1 vs 2 threads"
 done
 
-for bench in $BATCH_BENCHES; do
-    bin="$BENCH_DIR/$bench"
-    [ -x "$bin" ] || continue # missing binary already reported above
-    [ -f "$TMP/$bench.t1" ] || continue
-    "$bin" --threads 2 --batch > "$TMP/$bench.batch" 2>/dev/null || {
-        echo "FAIL: $bench --batch exited non-zero" >&2
-        failures=$((failures + 1))
-        continue
-    }
-    check "$bench" "$TMP/$bench.t1" "$TMP/$bench.batch" \
-        "sequential vs batched sim"
-done
-
 # Fusion identity: the firing plan's macro-op fusion must not change a
 # single stdout byte — the default fused run must match --no-fusion.
-for bench in $BATCH_BENCHES; do
+for bench in $FUSION_BENCHES; do
     bin="$BENCH_DIR/$bench"
     [ -x "$bin" ] || continue # missing binary already reported above
     [ -f "$TMP/$bench.t1" ] || continue
@@ -125,7 +109,7 @@ done
 # numbers requests from 1, matching --direct's fixed id, so whole raw
 # lines compare with cmp. The first daemon run per workload misses the
 # region cache, the second hits it, and the parallel burst at the end
-# exercises the coalesced multi-request batch path.
+# exercises the coalesced multi-request group path.
 BIN_DIR="$BENCH_DIR/../bin"
 NACHOSD_PID=
 stop_daemon() {
@@ -183,7 +167,7 @@ else
         done
 
         # Coalesced path: identical bulk requests arriving together get
-        # batched into one group; every response must still match.
+        # claimed as one group; every response must still match.
         ref="$TMP/direct.179.art.nachos"
         pids=""
         for i in 1 2 3 4; do
@@ -239,6 +223,5 @@ if [ "$failures" -ne 0 ]; then
     echo "$failures determinism failure(s)" >&2
     exit 1
 fi
-echo "all benches deterministic across thread counts, sim engines and" \
-     "fusion modes, and the daemon serves byte-identical results to" \
-     "--direct"
+echo "all benches deterministic across thread counts and fusion" \
+     "modes, and the daemon serves byte-identical results to --direct"

@@ -51,9 +51,6 @@ usage()
         "  --expect-failure   exit 0 iff at least one case fails\n"
         "                     (mutation self-test mode)\n"
         "  --no-shrink        keep failing regions unshrunk\n"
-        "  --sequential-sim   one simulate() per backend instead of the\n"
-        "                     batched engine (identical verdicts; for\n"
-        "                     timing comparisons and engine bring-up)\n"
         "  --no-fusion        disable macro-op fusion on the primary\n"
         "                     runs (identical verdicts; escape hatch)\n"
         "  --fusion-differential\n"
@@ -118,8 +115,6 @@ main(int argc, char **argv)
             expect_failure = true;
         } else if (arg == "--no-shrink") {
             opts.shrinkFailures = false;
-        } else if (arg == "--sequential-sim") {
-            opts.batchedSim = false;
         } else if (arg == "--no-fusion") {
             opts.fusion = false;
         } else if (arg == "--fusion-differential") {

@@ -21,7 +21,7 @@ STAGES = ("synth", "analysis", "mde", "sim")
 # Microbench row families: plain seconds rows, but their stages are
 # bench-specific phases rather than pipeline stages, so they get their
 # own table instead of joining the per-workload stage math.
-MICROBENCHES = ("sim_plan", "batch_sim")
+MICROBENCHES = ("sim_plan",)
 
 
 def load(path):
@@ -35,7 +35,7 @@ def load(path):
     points/s, and firing-plan rows (workload == "fusion", emitted by
     the suite benches) carry event counts — none is pipeline-stage
     seconds, so each gets its own table and stays out of the
-    per-workload stage math. Microbench rows (sim_plan, batch_sim) ARE
+    per-workload stage math. Microbench rows (sim_plan) ARE
     seconds but use bench-specific stage names, so they too render
     separately.
     """
@@ -219,8 +219,7 @@ def print_sweep_throughput(base_sweep, cur_sweep):
 
 
 def print_microbenches(base_micro, cur_micro):
-    """Render sim_plan / batch_sim phase seconds, if either input has
-    any."""
+    """Render sim_plan phase seconds, if either input has any."""
     if not base_micro and not cur_micro:
         return
     print()
