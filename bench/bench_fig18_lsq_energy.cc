@@ -29,7 +29,6 @@ main(int argc, char **argv)
     RunRequest req;
     req.runSw = false;
     req.runNachos = false;
-    req.fusion = suiteFusion(argc, argv);
     SuiteRun run =
         runSuite(benchmarkSuite(), req, suiteThreads(argc, argv));
 

@@ -27,18 +27,14 @@
  * and folds the wire arrival cycle into the consumer's ready clock),
  * and a pure op whose operands are all in fires arithmetically, as a
  * straight-line cascade at completion cycle = max arrival + FU
- * latency. Macro-op fusion (SimConfig::fusion) additionally collapses
- * single-consumer chains of such ops into one precomputed firing
- * (cgra/sim_tables); fused and unfused runs are byte-identical
- * because both are exact evaluations of the same arrival arithmetic
- * (DESIGN.md §15).
+ * latency (DESIGN.md §15).
  *
  * Events are small typed records dispatched from a cycle-bucketed
  * CalendarQueue with no per-event allocation. Same-cycle events drain
  * a wave at a time and dispatch in a canonical content order
  * (kind, op, slot, value) — a pure function of event contents, so the
  * dispatch schedule cannot depend on the order handlers scheduled
- * them, which is what keeps the two fusion modes on one timeline.
+ * them.
  */
 
 #ifndef NACHOS_CGRA_SIMULATOR_HH
@@ -86,14 +82,6 @@ struct SimConfig
     /** Write a Chrome trace-event JSON of op executions here. */
     std::string traceFile;
     /**
-     * Fuse single-consumer chains of fixed-latency pure ops into
-     * macro-ops executed off the event engine (the region's firing
-     * plan, SimTables). Results are byte-identical either way; off is
-     * the `--no-fusion` escape hatch. Tracing (traceFile) disables
-     * fusion internally so per-op trace records stay complete.
-     */
-    bool fusion = true;
-    /**
      * Record every committed memory op into SimResult::memCommits, in
      * functional commit order (the order data motion hit memory). The
      * differential fuzzer checks ordering invariants against it.
@@ -128,8 +116,8 @@ struct SimResult
     /** Order-insensitive digest of every load's observed value. */
     uint64_t loadValueDigest = 0;
     /** Op completing last in the final invocation: the argmax of
-     *  (completion cycle, op id), an order-free rule so every engine
-     *  and fusion mode reports the same op (diagnostics). */
+     *  (completion cycle, op id), an order-free rule, so event order
+     *  and cascade order report the same op (diagnostics). */
     OpId criticalOp = 0;
     /** Final functional-memory image (sorted bytes). */
     std::vector<std::pair<uint64_t, uint8_t>> memImage;
@@ -138,13 +126,10 @@ struct SimResult
 
     // ---- firing-plan observability ------------------------------------
     // Kept out of `stats` deliberately: the StatSet, digest, image and
-    // commit trace are the byte-compared surfaces of the fusion-on-vs-
-    // off identity contract, while these counters describe the engine's
-    // own work and legitimately differ across modes.
+    // commit trace describe the modelled accelerator, while these
+    // counters describe the host engine's own work.
     uint64_t planEventsDispatched = 0; ///< events the engine dispatched
-    uint64_t planEventsElided = 0;     ///< events fusion avoided
-    uint64_t planMacroOps = 0;         ///< fused-chain firings
-    uint64_t planFusedOps = 0;         ///< op executions inside macros
+    uint64_t planEventsElided = 0;     ///< events eager delivery avoided
 };
 
 /**
@@ -336,8 +321,6 @@ class SimCore final : public BackendCore
     uint64_t now_ = 0;
     /** Current wave's events (drained, then canonically sorted). */
     std::vector<SimEvent> waveBuf_;
-    /** cfg_.fusion, with tracing folded in (tracing disables fusion). */
-    bool fusionOn_ = false;
 
     std::vector<OpState> states_;
     /** Operand-value arena: op's slots at tables_.inputOffset[op]. */
@@ -373,8 +356,6 @@ class SimCore final : public BackendCore
     // Firing-plan observability (SimResult::plan* fields).
     uint64_t planEventsDispatched_ = 0;
     uint64_t planEventsElided_ = 0;
-    uint64_t planMacroOps_ = 0;
-    uint64_t planFusedOps_ = 0;
 
     int64_t *inputs(OpId op)
     {
@@ -390,8 +371,6 @@ class SimCore final : public BackendCore
     void dispatch(const SimEvent &ev);
     uint64_t runInvocation(uint64_t inv, uint64_t start_cycle);
     void seedInvocation(uint64_t start_cycle);
-    bool chainSuffixReady(OpId head, uint64_t fireCycle) const;
-    void fireChain(OpId head, uint64_t fireCycle);
     int64_t evalFireValue(OpId op);
     void fireOp(OpId op, uint64_t cycle);
     void deliverOperand(OpId op, uint32_t slot, uint64_t arrival,

@@ -314,19 +314,16 @@ decodeRunRequest(const JsonValue &v, JobSpec &spec, CodecError &err)
             return false;
     }
 
-    // 'batchSim' selected the batched engine, which is gone: accepted
-    // (still typed) and ignored for one protocol version (DESIGN §9).
-    if (const JsonValue *m = v.find("batchSim")) {
-        if (!m->isBool())
-            return failCodec(err, "bad_request",
-                             "'batchSim' must be a bool");
-    }
-
-    if (const JsonValue *m = v.find("fusion")) {
-        if (!m->isBool())
-            return failCodec(err, "bad_request",
-                             "'fusion' must be a bool");
-        spec.request.fusion = m->boolean();
+    // 'batchSim' selected the batched engine and 'fusion' toggled
+    // macro-op fusion; both mechanisms are gone. Each is accepted
+    // (still typed) and ignored for protocol v1 (DESIGN §9.1).
+    for (const char *retired : {"batchSim", "fusion"}) {
+        if (const JsonValue *m = v.find(retired)) {
+            if (!m->isBool())
+                return failCodec(err, "bad_request",
+                                 std::string("'") + retired +
+                                     "' must be a bool");
+        }
     }
 
     if (!getU64Member(v, "timeoutMillis", spec.timeoutMillis, err))
@@ -376,8 +373,6 @@ encodeRunRequest(const JobSpec &spec)
     v.set("invocations", spec.request.invocationsOverride);
     if (spec.request.machine.any())
         v.set("machine", encodeMachineOverrides(spec.request.machine));
-    if (!spec.request.fusion)
-        v.set("fusion", false);
     if (spec.timeoutMillis)
         v.set("timeoutMillis", spec.timeoutMillis);
     if (spec.sleepMillis)

@@ -12,7 +12,6 @@ simConfigFor(const BenchmarkInfo &info, const RunRequest &request)
                           ? request.invocationsOverride
                           : info.invocations;
     request.machine.applyTo(sim);
-    sim.fusion = request.fusion;
     return sim;
 }
 

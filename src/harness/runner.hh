@@ -36,10 +36,6 @@ struct RunRequest
      * analysis + MDEs) is machine-independent by construction.
      */
     MachineOverrides machine;
-    /** Fuse single-consumer fixed-latency chains into macro-ops
-     *  (SimConfig::fusion). Results are byte-identical either way;
-     *  `--no-fusion` is the escape hatch. */
-    bool fusion = true;
 };
 
 /** Everything produced for one workload run. */

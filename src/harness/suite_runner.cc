@@ -75,23 +75,19 @@ runSuite(const std::vector<BenchmarkInfo> &suite,
 
     // Firing-plan observability, aggregated over every backend run:
     // how much event traffic the sim stage dispatched and how much
-    // macro-op fusion elided. Diagnostic only — never part of the
-    // deterministic stdout surfaces.
-    uint64_t dispatched = 0, elided = 0, macroOps = 0, fusedOps = 0;
+    // eager operand delivery elided. Diagnostic only — never part of
+    // the deterministic stdout surfaces.
+    uint64_t dispatched = 0, elided = 0;
     for (const RunOutcome &o : run.outcomes) {
         for (const auto *r : {&o.lsq, &o.sw, &o.nachos}) {
             if (!r->has_value())
                 continue;
             dispatched += (*r)->planEventsDispatched;
             elided += (*r)->planEventsElided;
-            macroOps += (*r)->planMacroOps;
-            fusedOps += (*r)->planFusedOps;
         }
     }
     run.timing.counter("plan.eventsDispatched").inc(dispatched);
     run.timing.counter("plan.eventsElided").inc(elided);
-    run.timing.counter("plan.macroOps").inc(macroOps);
-    run.timing.counter("plan.fusedOps").inc(fusedOps);
     return run;
 }
 
@@ -114,20 +110,6 @@ suiteThreads(int argc, char *const argv[])
         return static_cast<unsigned>(n);
     }
     return ThreadPool::defaultThreadCount();
-}
-
-bool
-suiteFusion(int argc, char *const argv[], bool fallback)
-{
-    bool fusion = fallback;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fusion")
-            fusion = true;
-        else if (arg == "--no-fusion")
-            fusion = false;
-    }
-    return fusion;
 }
 
 std::string
@@ -224,16 +206,14 @@ maybeWriteSuiteTimingJson(const std::string &path,
                static_cast<double>(agg.get("suite.wallMicros")) * micro,
                threads, sha);
     // Firing-plan observability row: event counts, not seconds, so it
-    // gets its own workload key ("fusion") and perf_report.py renders
+    // gets its own workload key ("plan") and perf_report.py renders
     // it in a dedicated section instead of the stage table.
     {
         JsonValue v = JsonValue::makeObject();
-        v.set("workload", std::string("fusion"));
+        v.set("workload", std::string("plan"));
         v.set("stage", std::string("plan"));
         v.set("eventsDispatched", agg.get("plan.eventsDispatched"));
         v.set("eventsElided", agg.get("plan.eventsElided"));
-        v.set("macroOps", agg.get("plan.macroOps"));
-        v.set("fusedOps", agg.get("plan.fusedOps"));
         v.set("threads", threads);
         v.set("git_sha", sha);
         os << (first ? "" : ",") << "\n  " << dumpJson(v);
@@ -259,25 +239,13 @@ printSuiteTiming(std::ostream &os, const SuiteRun &run)
        << ")\n";
     const uint64_t dispatched = t.get("plan.eventsDispatched");
     const uint64_t elided = t.get("plan.eventsElided");
-    const uint64_t macroOps = t.get("plan.macroOps");
-    const uint64_t fusedOps = t.get("plan.fusedOps");
     if (dispatched == 0 && elided == 0)
         return;
     const double pct =
         100.0 * static_cast<double>(elided) /
         static_cast<double>(dispatched + elided);
-    // Eager operand delivery elides events with fusion on or off;
-    // macro-ops (fusion only) elide the rest.
     os << "plan: " << dispatched << " events dispatched, " << elided
-       << " elided by eager delivery"
-       << (macroOps ? " and fusion" : "") << " (" << fmtDouble(pct, 1)
-       << "%), "
-       << macroOps << " macro-ops, mean fused-chain length "
-       << fmtDouble(macroOps ? static_cast<double>(fusedOps) /
-                                   static_cast<double>(macroOps)
-                             : 0.0,
-                    2)
-       << "\n";
+       << " elided by eager delivery (" << fmtDouble(pct, 1) << "%)\n";
 }
 
 } // namespace nachos

@@ -66,14 +66,6 @@ SuiteRun runSuite(const std::vector<BenchmarkInfo> &suite,
 unsigned suiteThreads(int argc, char *const argv[]);
 
 /**
- * `--fusion` / `--no-fusion` from argv if present, else `fallback`
- * (on by default). Benches feed the result into RunRequest::fusion;
- * stdout stays byte-identical either way (the firing plan's identity
- * guarantee), so this only moves the sim-stage timing.
- */
-bool suiteFusion(int argc, char *const argv[], bool fallback = true);
-
-/**
  * One-line timing summary of a SuiteRun. Benches print this to
  * std::cerr so stdout tables stay byte-identical across thread
  * counts.
@@ -90,7 +82,8 @@ std::string suiteJsonPath(int argc, char *const argv[]);
  * Write machine-readable per-stage + wall-clock timing as a JSON array
  * of records {workload, stage, seconds, threads, git_sha} — one record
  * per (workload, stage), plus aggregate records under workload
- * "suite" (per-stage sums and end-to-end "wall"). No-op if `path` is
+ * "suite" (per-stage sums and end-to-end "wall") and one workload
+ * "plan" record of sim-stage event counts. No-op if `path` is
  * empty. `suite` must be the suite `run` was produced from.
  */
 void maybeWriteSuiteTimingJson(const std::string &path,

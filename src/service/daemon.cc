@@ -708,7 +708,7 @@ Daemon::completeMember(Shard &shard, GroupScratch &scratch, Job &job,
     shard.stats.counter("jobs.completed").inc();
     // Firing-plan observability: fold each backend run's plan counters
     // into the shard stats so metricsSnapshot() exposes suite-wide
-    // fusion coverage (mirrors the suite --json "fusion" record).
+    // event traffic (mirrors the suite --json "plan" record).
     // Cache-served sims report their cached counters — per-job
     // visibility, not unique-sim accounting.
     for (const std::optional<SimResult> *sim : {&r.lsq, &r.sw, &r.nachos}) {
@@ -718,8 +718,6 @@ Daemon::completeMember(Shard &shard, GroupScratch &scratch, Job &job,
             .inc((*sim)->planEventsDispatched);
         shard.stats.counter("plan.eventsElided")
             .inc((*sim)->planEventsElided);
-        shard.stats.counter("plan.macroOps").inc((*sim)->planMacroOps);
-        shard.stats.counter("plan.fusedOps").inc((*sim)->planFusedOps);
     }
     const StageTimes &times = r.times;
     shard.stats.histogram("latency.synthMicros")

@@ -79,7 +79,8 @@ class ThreadPool
  * Run `fn(item, index)` over every element of `items` on the pool and
  * return the results in input order, independent of completion order.
  * Exceptions are rethrown in index order (the first failing index
- * wins), matching what a sequential loop would report first.
+ * wins), matching what a sequential loop would report first, and only
+ * once every task has finished.
  */
 template <typename T, typename Fn>
 auto
@@ -95,6 +96,10 @@ parallelMap(ThreadPool &pool, const std::vector<T> &items, Fn &&fn)
         futures.push_back(
             pool.submit([&fn, &items, i] { return fn(items[i], i); }));
     }
+    // Every task borrows `fn` and `items`: let all of them finish
+    // before a failed one's exception can unwind this frame.
+    for (std::future<R> &future : futures)
+        future.wait();
     std::vector<R> results;
     results.reserve(items.size());
     for (std::future<R> &future : futures)

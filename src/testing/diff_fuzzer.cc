@@ -190,44 +190,6 @@ checkRun(const Region &region, const ReferenceResult &ref,
     }
 }
 
-/**
- * Byte-identity comparison of a fused and an unfused run of the same
- * lane. Returns an empty string when identical, else a description of
- * the first divergence. The plan observability counters are excluded:
- * they describe engine work and legitimately differ across modes.
- */
-std::string
-fusionDiff(const SimResult &a, const SimResult &b)
-{
-    if (a.cycles != b.cycles)
-        return "cycles " + std::to_string(a.cycles) + " != " +
-               std::to_string(b.cycles);
-    if (a.loadValueDigest != b.loadValueDigest)
-        return "load-value digest " + hex(a.loadValueDigest) + " != " +
-               hex(b.loadValueDigest);
-    if (a.criticalOp != b.criticalOp)
-        return "critical op " + std::to_string(a.criticalOp) + " != " +
-               std::to_string(b.criticalOp);
-    if (a.stats.dump() != b.stats.dump())
-        return "stat counters differ";
-    if (a.energy.total() != b.energy.total())
-        return "energy totals differ";
-    if (a.memImage != b.memImage)
-        return "final memory images differ";
-    if (a.memCommits.size() != b.memCommits.size())
-        return "commit counts " + std::to_string(a.memCommits.size()) +
-               " != " + std::to_string(b.memCommits.size());
-    for (size_t i = 0; i < a.memCommits.size(); ++i) {
-        const MemCommit &x = a.memCommits[i];
-        const MemCommit &y = b.memCommits[i];
-        if (x.op != y.op || x.invocation != y.invocation ||
-            x.cycle != y.cycle || x.addr != y.addr ||
-            x.forwarded != y.forwarded)
-            return "commit trace diverges at entry " + std::to_string(i);
-    }
-    return "";
-}
-
 } // namespace
 
 std::vector<FuzzMismatch>
@@ -256,7 +218,6 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     SimConfig cfg;
     cfg.invocations = opts.invocations;
     cfg.recordMemTrace = true;
-    cfg.fusion = opts.fusion;
 
     // One lane per backend run, in the historical check order: the
     // OPT-LSQ bank sweep, then NACHOS-SW, then NACHOS.
@@ -289,21 +250,6 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     for (size_t i = 0; i < lanes.size(); ++i)
         checkRun(region, ref, results[i], labels[i], opts.invocations,
                  must, out);
-
-    if (opts.fusionDifferential) {
-        // Same lanes with fusion inverted: the firing plan's identity
-        // contract says every result surface is byte-identical.
-        for (size_t i = 0; i < lanes.size(); ++i) {
-            SimConfig alt = lanes[i].cfg;
-            alt.fusion = !opts.fusion;
-            std::string diff = fusionDiff(
-                results[i],
-                simulate(region, mdes, lanes[i].kind, alt, pool));
-            if (!diff.empty())
-                out.push_back({"fusion-differential", labels[i],
-                               std::move(diff)});
-        }
-    }
 
     const SimResult &sw = results[results.size() - 2];
     const SimResult &hw = results[results.size() - 1];

@@ -8,6 +8,8 @@
 #include "cgra/trace.hh"
 #include "ir/builder.hh"
 #include "mde/inserter.hh"
+#include "workloads/benchmark_info.hh"
+#include "workloads/synthesizer.hh"
 
 namespace nachos {
 namespace {
@@ -56,6 +58,34 @@ TEST(TraceIntegration, SimulatorWritesTraceFile)
     EXPECT_NE(content.find("store"), std::string::npos);
     EXPECT_NE(content.find("forward"), std::string::npos);
     std::remove(cfg.traceFile.c_str());
+}
+
+// Tracing only observes: the traced engine is the engine. 183.equake's
+// ~50-op address chains are the longest pure cascades in the suite, so
+// any trace-induced change of firing path would show there first.
+TEST(TraceIntegration, TracingDoesNotChangeTheSimulation)
+{
+    const BenchmarkInfo *info = findBenchmark("183.equake");
+    ASSERT_NE(info, nullptr);
+    const Region r = synthesizeRegion(*info);
+    const AliasAnalysisResult analysis = runAliasPipeline(r);
+    const MdeSet mdes = insertMdes(r, analysis.matrix);
+    for (BackendKind kind : {BackendKind::OptLsq, BackendKind::NachosSw,
+                             BackendKind::Nachos}) {
+        SCOPED_TRACE(backendName(kind));
+        SimConfig cfg;
+        cfg.invocations = 4;
+        const SimResult plain = simulate(r, mdes, kind, cfg);
+        cfg.traceFile = std::string("test_trace_equake_") +
+                        backendName(kind) + ".json";
+        const SimResult traced = simulate(r, mdes, kind, cfg);
+        std::remove(cfg.traceFile.c_str());
+        EXPECT_EQ(traced.cycles, plain.cycles);
+        EXPECT_EQ(traced.stats.dump(), plain.stats.dump());
+        EXPECT_EQ(traced.loadValueDigest, plain.loadValueDigest);
+        EXPECT_EQ(traced.memImage, plain.memImage);
+        EXPECT_EQ(traced.criticalOp, plain.criticalOp);
+    }
 }
 
 } // namespace

@@ -130,11 +130,11 @@ TEST(RunRequest, EncodeDecodeRoundTrip)
               dumpJson(encodeRunRequest(spec)));
 }
 
-// 'batchSim' named the removed batched engine. For one protocol
-// version it is still accepted (and type-checked) but ignored: the
-// decoded request is exactly the one without it, and encoding never
-// emits it.
-TEST(RunRequest, BatchSimIsAcceptedAndIgnored)
+// 'batchSim' named the removed batched engine and 'fusion' toggled
+// the removed macro-op fusion. For protocol v1 both are still
+// accepted (and type-checked) but ignored: the decoded request is
+// exactly the one without them, and encoding never emits them.
+TEST(RunRequest, RetiredMembersAreAcceptedAndIgnored)
 {
     JobSpec plain;
     CodecError err;
@@ -144,18 +144,25 @@ TEST(RunRequest, BatchSimIsAcceptedAndIgnored)
     const std::string want = dumpJson(encodeRunRequest(plain));
     for (const char *json :
          {R"({"workload":"164.gzip","seed":4,"batchSim":true})",
-          R"({"workload":"164.gzip","seed":4,"batchSim":false})"}) {
+          R"({"workload":"164.gzip","seed":4,"batchSim":false})",
+          R"({"workload":"164.gzip","seed":4,"fusion":true})",
+          R"({"workload":"164.gzip","seed":4,"fusion":false})"}) {
         JobSpec spec;
         ASSERT_TRUE(decodeRunRequest(mustParse(json), spec, err))
             << json << " -> " << err.code << ": " << err.message;
         EXPECT_EQ(dumpJson(encodeRunRequest(spec)), want) << json;
     }
     EXPECT_EQ(want.find("batchSim"), std::string::npos);
+    EXPECT_EQ(want.find("fusion"), std::string::npos);
 
-    JobSpec spec;
-    EXPECT_FALSE(decodeRunRequest(
-        mustParse(R"({"workload":"164.gzip","batchSim":1})"), spec, err));
-    EXPECT_EQ(err.code, "bad_request");
+    for (const char *json :
+         {R"({"workload":"164.gzip","batchSim":1})",
+          R"({"workload":"164.gzip","fusion":"off"})"}) {
+        JobSpec spec;
+        EXPECT_FALSE(decodeRunRequest(mustParse(json), spec, err))
+            << json;
+        EXPECT_EQ(err.code, "bad_request") << json;
+    }
 }
 
 TEST(Outcome, EncodeDecodeRoundTripOnRealRun)

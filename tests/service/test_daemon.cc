@@ -313,11 +313,9 @@ TEST_F(DaemonTest, SixteenConcurrentConnections)
     // Firing-plan observability rides along in the same snapshot:
     // every completed sim folds its plan counters into the shard
     // stats, so 16 real workload runs must have dispatched events and
-    // fired macro-ops (fusion is on by default).
+    // elided some by eager delivery.
     EXPECT_GT(counter("plan.eventsDispatched"), 0u);
     EXPECT_GT(counter("plan.eventsElided"), 0u);
-    EXPECT_GT(counter("plan.macroOps"), 0u);
-    EXPECT_GE(counter("plan.fusedOps"), counter("plan.macroOps"));
 }
 
 // Satellite (c): malformed input of every shape gets a typed error

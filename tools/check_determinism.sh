@@ -1,16 +1,12 @@
 #!/usr/bin/env bash
 # Determinism check over the full bench suite: every suite bench must
-# print byte-identical stdout no matter how many workers carry it, and
-# the full-suite benches must also print byte-identical stdout when
-# macro-op fusion is disabled (--no-fusion) instead of the default
-# fused firing plan.
+# print byte-identical stdout no matter how many workers carry it.
 #
 # usage: check_determinism.sh <bench-dir>
 #
 # Timing lines go to stderr by design (printSuiteTiming), so stdout is
 # the deterministic surface. Excluded: bench_micro (google-benchmark,
-# timing-only output), bench_service_throughput / bench_service_slo
-# (throughput numbers).
+# timing-only output), bench_service_slo (throughput numbers).
 #
 # The final pass checks the serving plane: result lines served by a
 # sharded nachosd (region cache + bulk coalescing enabled) must be
@@ -41,16 +37,6 @@ bench_appendix_model
 bench_ablation_comparator
 bench_ablation_lsq
 bench_ablation_stages
-"
-
-# Full-suite benches whose sim stage honors --fusion/--no-fusion.
-FUSION_BENCHES="
-bench_table2
-bench_fig11_sw_vs_lsq
-bench_fig12_baseline_compiler
-bench_fig15_nachos_vs_lsq
-bench_fig17_nachos_energy
-bench_fig18_lsq_energy
 "
 
 TMP=$(mktemp -d)
@@ -87,21 +73,6 @@ for bench in $THREADED_BENCHES; do
         continue
     }
     check "$bench" "$TMP/$bench.t1" "$TMP/$bench.t2" "1 vs 2 threads"
-done
-
-# Fusion identity: the firing plan's macro-op fusion must not change a
-# single stdout byte — the default fused run must match --no-fusion.
-for bench in $FUSION_BENCHES; do
-    bin="$BENCH_DIR/$bench"
-    [ -x "$bin" ] || continue # missing binary already reported above
-    [ -f "$TMP/$bench.t1" ] || continue
-    "$bin" --threads 2 --no-fusion > "$TMP/$bench.nofuse" 2>/dev/null || {
-        echo "FAIL: $bench --no-fusion exited non-zero" >&2
-        failures=$((failures + 1))
-        continue
-    }
-    check "$bench" "$TMP/$bench.t1" "$TMP/$bench.nofuse" \
-        "fused vs unfused sim"
 done
 
 # Daemon vs direct: every result line a sharded daemon serves must be
@@ -223,5 +194,5 @@ if [ "$failures" -ne 0 ]; then
     echo "$failures determinism failure(s)" >&2
     exit 1
 fi
-echo "all benches deterministic across thread counts and fusion" \
-     "modes, and the daemon serves byte-identical results to --direct"
+echo "all benches deterministic across thread counts, and the daemon" \
+     "serves byte-identical results to --direct"

@@ -18,49 +18,38 @@ from collections import defaultdict
 
 STAGES = ("synth", "analysis", "mde", "sim")
 
-# Microbench row families: plain seconds rows, but their stages are
-# bench-specific phases rather than pipeline stages, so they get their
-# own table instead of joining the per-workload stage math.
-MICROBENCHES = ("sim_plan",)
-
 
 def load(path):
     """-> ({workload: {stage: seconds}}, {slo stage: row},
-           {sweep stage: row}, {(bench, stage): seconds},
-           {fusion stage: row}, git_sha set).
+           {sweep stage: row}, {plan stage: row}, git_sha set).
 
     Service SLO rows (workload == "service", emitted by
     bench_service_slo and the loadgen) carry req/s-at-p99 fields,
     sweep rows (workload == "sweep", emitted by bench_sweep) carry
-    points/s, and firing-plan rows (workload == "fusion", emitted by
+    points/s, and firing-plan rows (workload == "plan", emitted by
     the suite benches) carry event counts — none is pipeline-stage
     seconds, so each gets its own table and stays out of the
-    per-workload stage math. Microbench rows (sim_plan) ARE
-    seconds but use bench-specific stage names, so they too render
-    separately.
+    per-workload stage math.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = json.load(fh)
     table = defaultdict(dict)
     service = {}
     sweep = {}
-    micro = {}
-    fusion = {}
+    plan = {}
     shas = set()
     for row in rows:
         if row["workload"] == "service":
             service[row["stage"]] = row
         elif row["workload"] == "sweep":
             sweep[row["stage"]] = row
-        elif row["workload"] == "fusion":
-            fusion[row["stage"]] = row
-        elif row["workload"] in MICROBENCHES:
-            micro[(row["workload"], row["stage"])] = row["seconds"]
+        elif row["workload"] == "plan":
+            plan[row["stage"]] = row
         else:
             table[row["workload"]][row["stage"]] = row["seconds"]
         if "git_sha" in row:
             shas.add(row["git_sha"])
-    return table, service, sweep, micro, fusion, shas
+    return table, service, sweep, plan, shas
 
 
 def warn_if_stale_baseline(base_shas):
@@ -110,10 +99,8 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     try:
-        (base, base_svc, base_sweep, base_micro, base_fusion,
-         base_shas) = load(argv[1])
-        (cur, cur_svc, cur_sweep, cur_micro, cur_fusion,
-         cur_shas) = load(argv[2])
+        base, base_svc, base_sweep, base_plan, base_shas = load(argv[1])
+        cur, cur_svc, cur_sweep, cur_plan, cur_shas = load(argv[2])
     except (OSError, ValueError, KeyError) as err:
         print(f"perf_report: cannot read inputs: {err}", file=sys.stderr)
         return 2
@@ -147,8 +134,7 @@ def main(argv):
               f"{fmt_ratio(b_total, c_total):>8}")
     print_service_slo(base_svc, cur_svc)
     print_sweep_throughput(base_sweep, cur_sweep)
-    print_microbenches(base_micro, cur_micro)
-    print_fusion_plan(base_fusion, cur_fusion)
+    print_firing_plan(base_plan, cur_plan)
 
     print()
     print("report-only: timing never fails CI; byte-identical output does.")
@@ -218,48 +204,23 @@ def print_sweep_throughput(base_sweep, cur_sweep):
     print("ratio is current/base points per second (higher is better).")
 
 
-def print_microbenches(base_micro, cur_micro):
-    """Render sim_plan phase seconds, if either input has any."""
-    if not base_micro and not cur_micro:
-        return
-    print()
-    print("Microbenches (phase seconds)")
-    print(f"{'bench/stage':<30} {'base':>10} {'cur':>10} {'speedup':>8}")
-    print("-" * 62)
-    for key in sorted(set(base_micro) | set(cur_micro)):
-        label = "/".join(key)
-        b = base_micro.get(key)
-        c = cur_micro.get(key)
-        if b is None or c is None:
-            print(f"{label:<30} {'(only in one input)':>30}")
-            continue
-        print(f"{label:<30} {b:>9.4f}s {c:>9.4f}s "
-              f"{fmt_ratio(b, c):>8}")
-    print("-" * 62)
-
-
-def print_fusion_plan(base_fusion, cur_fusion):
-    """Render firing-plan event counts (workload == "fusion"), if
-    either input carries them. These are exact counts, not timings:
-    fused and unfused runs must dispatch identical event totals, and
-    "elided" counts the per-edge events the static chains never
-    schedule."""
-    if not base_fusion and not cur_fusion:
+def print_firing_plan(base_plan, cur_plan):
+    """Render firing-plan event counts (workload == "plan"), if either
+    input carries them. These are exact counts, not timings: "elided"
+    counts the events eager operand delivery never schedules."""
+    if not base_plan and not cur_plan:
         return
     print()
     print("Firing plan (suite-aggregate event counts)")
-    fields = ("eventsDispatched", "eventsElided", "macroOps",
-              "fusedOps")
     print(f"{'counter':<22} {'base':>14} {'cur':>14}")
     print("-" * 52)
-    for field in fields:
+    for field in ("eventsDispatched", "eventsElided"):
         def cell(table):
             row = table.get("plan")
             if row is None or field not in row:
                 return "-"
             return f"{int(row[field]):,}"
-        print(f"{field:<22} {cell(base_fusion):>14} "
-              f"{cell(cur_fusion):>14}")
+        print(f"{field:<22} {cell(base_plan):>14} {cell(cur_plan):>14}")
     print("-" * 52)
     print("counts are deterministic; a base/cur difference means the "
           "plan changed.")
