@@ -1,11 +1,10 @@
 /**
  * @file
  * nachosd SLO curve: sustained req/s at a p99 latency bound, before
- * and after the serving-plane rework. Config A is the single-lane
- * baseline (no coalescing, no region cache: singleton groups that
- * rebuild every front end); config B adds cross-connection bulk
- * coalescing and the synthesized-region cache on the same path. Both are driven by
- * the same closed-loop loadgen (service/loadgen.hh) over 1/4/16/64
+ * and after the serving-plane rework. Config A is the baseline (two
+ * workers, no region cache: every job rebuilds its front end); config
+ * B runs four workers with the synthesized-region cache on the same
+ * path. Both are driven by the same closed-loop loadgen (service/loadgen.hh) over 1/4/16/64
  * client connections sending identical bulk jobs (183.equake,
  * 1 invocation, nachos backend).
  *
@@ -64,13 +63,11 @@ makeConfig(const std::string &socketPath, bool legacy)
     DaemonConfig config;
     config.socketPath = socketPath;
     if (legacy) {
-        // Baseline shape: two workers, no coalescing, no cache.
+        // Baseline shape: two workers, no cache.
         config.workers = 2;
-        config.maxBatchLanes = 1;
         config.regionCacheEntries = 0;
     } else {
         config.workers = 4;
-        config.maxBatchLanes = 64;
         config.regionCacheEntries = 64;
     }
     config.queueCapacity = 256;
@@ -144,7 +141,7 @@ main(int argc, char **argv)
     const std::string jsonPath = suiteJsonPath(argc, argv);
     printHeader(std::cout, "Service",
                 "nachosd SLO curve: bulk req/s at p99, legacy "
-                "single-lane (A) vs sharded+batched+cached (B)");
+                "uncached (A) vs sharded+cached (B)");
 
     bool allClean = true;
     std::vector<JsonValue> rows;

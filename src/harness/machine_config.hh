@@ -52,10 +52,6 @@ struct MachineOverrides
 /**
  * Order-stable FNV-1a hash over the override fields. Equal overrides
  * hash equal; the all-default overrides hash to the FNV offset basis.
- * The bulk-coalescing group key (service/job_queue) uses this so two
- * jobs that differ only in machine config never share a group (a group's
- * lanes reuse one pooled hierarchy, which a differing cache geometry
- * would force to be rebuilt).
  */
 uint64_t machineConfigHash(const MachineOverrides &m);
 

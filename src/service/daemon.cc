@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -33,6 +34,12 @@ secondsToMicros(double seconds)
     return static_cast<uint64_t>(seconds * 1e6);
 }
 
+double
+secondsSince(clock_t_::time_point t0)
+{
+    return std::chrono::duration<double>(clock_t_::now() - t0).count();
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -55,7 +62,7 @@ void
 Daemon::Connection::sendBytes(std::string_view bytes)
 {
     std::lock_guard<std::mutex> lock(writeMutex);
-    if (fd < 0)
+    if (fd < 0 || dead)
         return;
     size_t off = 0;
     while (off < bytes.size()) {
@@ -64,6 +71,13 @@ Daemon::Connection::sendBytes(std::string_view bytes)
         if (n <= 0) {
             if (n < 0 && errno == EINTR)
                 continue;
+            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+                // SO_SNDTIMEO expired: the peer stopped reading. Drop
+                // it rather than hold a worker (or the watchdog) here.
+                dead = true;
+                ::shutdown(fd, SHUT_RDWR);
+                daemon.bump("conns.sendTimeouts");
+            }
             return; // peer gone; response is best-effort
         }
         off += static_cast<size_t>(n);
@@ -87,10 +101,6 @@ Daemon::Daemon(DaemonConfig config)
 {
     if (config_.workers < 1)
         config_.workers = 1;
-    if (config_.maxBatchLanes < 1)
-        config_.maxBatchLanes = 1;
-    if (config_.maxBatchLanes > kMaxGroupLanes)
-        config_.maxBatchLanes = kMaxGroupLanes;
     shards_.reserve(config_.workers);
     for (unsigned i = 0; i < config_.workers; ++i)
         shards_.push_back(std::make_unique<Shard>(
@@ -291,12 +301,16 @@ Daemon::acceptLoop()
             const int fd = ::accept(fds[i].fd, nullptr, nullptr);
             if (fd < 0)
                 continue;
+            const timeval sendTimeout{
+                static_cast<time_t>(kSendTimeout.count()), 0};
+            ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &sendTimeout,
+                         sizeof(sendTimeout));
             // Connections hash to shards round-robin; every job of a
             // connection lands in its shard's rings (work stealing
             // rebalances execution, not admission).
             const uint32_t shard = static_cast<uint32_t>(
                 connCounter_.fetch_add(1) % shards_.size());
-            auto conn = std::make_shared<Connection>(fd, shard);
+            auto conn = std::make_shared<Connection>(fd, shard, *this);
             bump("conns.accepted");
             std::lock_guard<std::mutex> lock(connsMutex_);
             conns_.push_back(conn);
@@ -510,14 +524,11 @@ void
 Daemon::shardLoop(uint32_t index)
 {
     Shard &self = *shards_[index];
-    std::vector<std::shared_ptr<Job>> &group = self.group.claim;
     while (true) {
         using std::chrono::milliseconds;
-        size_t n =
-            self.queue.claim(group, config_.maxBatchLanes,
-                             milliseconds(0));
-        if (n == 0 && shards_.size() > 1) {
-            // Idle: steal a group from the deepest sibling ring.
+        std::shared_ptr<Job> job = self.queue.claim(milliseconds(0));
+        if (!job && shards_.size() > 1) {
+            // Idle: steal a job from the deepest sibling ring.
             uint32_t victim = index;
             size_t best = 0;
             for (uint32_t i = 0; i < shards_.size(); ++i) {
@@ -530,140 +541,100 @@ Daemon::shardLoop(uint32_t index)
                 }
             }
             if (best > 0) {
-                n = shards_[victim]->queue.claim(
-                    group, config_.maxBatchLanes, milliseconds(0));
-                if (n) {
+                job = shards_[victim]->queue.claim(milliseconds(0));
+                if (job) {
                     std::lock_guard<std::mutex> lock(self.statsMutex);
                     self.stats.counter("shard.steals").inc();
                 }
             }
         }
-        if (n == 0) {
-            n = self.queue.claim(group, config_.maxBatchLanes,
-                                 milliseconds(2));
-            if (n == 0) {
+        if (!job) {
+            job = self.queue.claim(milliseconds(2));
+            if (!job) {
                 if (self.queue.closed())
                     break;
                 continue;
             }
         }
-        executeGroup(self, self.group, /*interruptible=*/true);
-        for (size_t i = 0; i < group.size(); ++i)
-            finishJob();
-        group.clear(); // drop job references promptly
+        executeJob(self, *job, /*interruptible=*/true);
+        finishJob();
     }
 }
 
 void
 Daemon::serveInteractive(Shard &shard)
 {
-    GroupScratch &scratch = shard.interrupt;
-    while (shard.queue.claimInteractive(scratch.claim)) {
-        // Its own singleton group: one front-end lookup and one
-        // batch.groups bump, like any other claim.
-        executeGroup(shard, scratch, /*interruptible=*/false);
+    while (std::shared_ptr<Job> job = shard.queue.claimInteractive()) {
+        executeJob(shard, *job, /*interruptible=*/false);
         finishJob();
-        scratch.claim.clear();
     }
 }
 
-/** runGroup's hooks for one executing group of a shard. */
-class Daemon::GroupResponder : public GroupHooks
-{
-  public:
-    GroupResponder(Daemon &daemon, Shard &shard, GroupScratch &scratch,
-                   bool interruptible)
-        : daemon_(daemon), shard_(shard), scratch_(scratch),
-          interruptible_(interruptible)
-    {}
-
-    bool
-    runLane(size_t i) override
-    {
-        // A member the watchdog already answered (`timeout`) is no
-        // longer Running: its remaining lanes would be discarded.
-        return scratch_.claim[i]->state.load() == JobState::Running;
-    }
-
-    void
-    betweenLanes() override
-    {
-        if (interruptible_)
-            daemon_.serveInteractive(shard_);
-    }
-
-    void
-    memberDone(size_t i, BatchRunResult &result) override
-    {
-        answered_ = i + 1;
-        lanesSkipped_ += result.lanesSkipped;
-        daemon_.completeMember(shard_, scratch_, *scratch_.claim[i],
-                               result);
-    }
-
-    /** Members passed to memberDone so far (a prefix of the group). */
-    size_t answered() const { return answered_; }
-    uint32_t lanesSkipped() const { return lanesSkipped_; }
-
-  private:
-    Daemon &daemon_;
-    Shard &shard_;
-    GroupScratch &scratch_;
-    bool interruptible_;
-    size_t answered_ = 0;
-    uint32_t lanesSkipped_ = 0;
-};
-
 void
-Daemon::executeGroup(Shard &shard, GroupScratch &scratch,
-                     bool interruptible)
+Daemon::executeJob(Shard &shard, Job &job, bool interruptible)
 {
-    const std::vector<std::shared_ptr<Job>> &group = scratch.claim;
-    const clock_t_::time_point started = clock_t_::now();
     {
         std::lock_guard<std::mutex> lock(shard.statsMutex);
-        for (const std::shared_ptr<Job> &job : group)
-            shard.stats.histogram("latency.queueMicros")
-                .sample(microsBetween(job->enqueued, started));
+        shard.stats.histogram("latency.queueMicros")
+            .sample(microsBetween(job.enqueued, clock_t_::now()));
     }
-    // Test delay: claim() never coalesces sleepers, so a sleeping job
-    // is always a singleton group.
-    if (group.size() == 1 && group[0]->spec.sleepMillis) {
+    if (job.spec.sleepMillis)
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(group[0]->spec.sleepMillis));
-    }
+            std::chrono::milliseconds(job.spec.sleepMillis));
 
-    scratch.items.clear();
-    for (const std::shared_ptr<Job> &job : group)
-        scratch.items.push_back({job->spec.info, &job->spec.request});
-
-    GroupResponder responder(*this, shard, scratch, interruptible);
-    std::string failMessage;
+    const RunRequest &request = job.spec.request;
+    JobResult r;
+    uint64_t lanes = 0;
+    uint64_t skipped = 0;
     try {
-        runGroup(scratch.items, cache_, shard.pool, responder);
+        const clock_t_::time_point frontStart = clock_t_::now();
+        r.entry = cache_.acquire(*job.spec.info, request);
+        r.times.synthSeconds = secondsSince(frontStart);
+        const SimConfig sim = simConfigFor(*job.spec.info, request);
+        const struct
+        {
+            bool wanted;
+            BackendKind kind;
+            std::optional<SimResult> *out;
+        } laneSpecs[] = {{request.runLsq, BackendKind::OptLsq, &r.lsq},
+                         {request.runSw, BackendKind::NachosSw, &r.sw},
+                         {request.runNachos, BackendKind::Nachos,
+                          &r.nachos}};
+        for (const auto &lane : laneSpecs) {
+            if (!lane.wanted)
+                continue;
+            if (interruptible && lanes + skipped > 0)
+                serveInteractive(shard);
+            // Once the watchdog has answered `timeout`, the job is no
+            // longer Running and the rest of its lanes would be
+            // discarded.
+            if (job.state.load() != JobState::Running) {
+                ++skipped;
+                continue;
+            }
+            const clock_t_::time_point simStart = clock_t_::now();
+            *lane.out = simulate(r.entry->region, r.entry->mdes,
+                                 lane.kind, sim, shard.pool);
+            r.times.simSeconds += secondsSince(simStart);
+            ++lanes;
+        }
     } catch (const std::exception &e) {
-        failMessage = e.what();
+        failMember(shard, job, e.what());
+        return;
     } catch (...) {
-        failMessage = "unknown exception";
-    }
-    if (responder.answered() < group.size()) {
-        // A lane threw: members not yet answered fail together.
-        for (size_t i = responder.answered(); i < group.size(); ++i)
-            failMember(shard, *group[i], failMessage);
+        failMember(shard, job, "unknown exception");
         return;
     }
-
-    uint32_t lanes = 0;
-    for (const std::shared_ptr<Job> &job : group)
-        lanes += backendLanes(job->spec.request);
-    std::lock_guard<std::mutex> lock(shard.statsMutex);
-    shard.stats.counter("batch.groups").inc();
-    shard.stats.counter("batch.lanes").inc(lanes);
-    shard.stats.histogram("batch.lanesPerGroup").sample(lanes);
-    if (group.size() > 1)
-        shard.stats.counter("batch.coalescedJobs").inc(group.size() - 1);
-    shard.stats.counter("jobs.lanesSkipped")
-        .inc(responder.lanesSkipped());
+    {
+        // batch.groups counts executed jobs (one front-end lookup
+        // each) and batch.lanes their simulated backends; the names
+        // predate one-job claims and are kept for metric readers.
+        std::lock_guard<std::mutex> lock(shard.statsMutex);
+        shard.stats.counter("batch.groups").inc();
+        shard.stats.counter("batch.lanes").inc(lanes);
+        shard.stats.counter("jobs.lanesSkipped").inc(skipped);
+    }
+    completeMember(shard, job, r);
 }
 
 void
@@ -678,8 +649,7 @@ Daemon::failMember(Shard &shard, Job &job, const std::string &message)
 }
 
 void
-Daemon::completeMember(Shard &shard, GroupScratch &scratch, Job &job,
-                       const BatchRunResult &r)
+Daemon::completeMember(Shard &shard, Job &job, const JobResult &r)
 {
     if (!job.tryTransition(JobState::Running, JobState::Done)) {
         // The watchdog answered `timeout` while we were computing;
@@ -692,7 +662,7 @@ Daemon::completeMember(Shard &shard, GroupScratch &scratch, Job &job,
         *job.spec.info, job.spec.request, r.entry->analysis,
         r.entry->mdes, r.lsq ? &*r.lsq : nullptr, r.sw ? &*r.sw : nullptr,
         r.nachos ? &*r.nachos : nullptr);
-    std::string &buf = scratch.encode;
+    std::string &buf = shard.encode;
     buf.clear(); // keeps capacity: steady state reuses the arena
     appendResultResponse(buf, job.requestId, summary);
     buf += '\n';

@@ -22,47 +22,52 @@
  *
  * Each shard owns a dual-class JobQueue (interactive and bulk rings
  * with separate bounds), a HierarchyPool that persists across jobs,
- * and reusable claim/encode buffers. Bulk jobs that agree on region
- * work are claimed as one group and run lane by lane (harness
- * runGroup: one pooled simulate() per requested backend); the front
- * end (synthesis + alias pipeline + MDEs) is served from a
- * daemon-wide LRU RegionCache. Lanes are the unit of scheduling:
- * between two lanes the worker serves every queued job of its own
- * interactive ring, skips the lanes of members the watchdog already
- * answered, and answers each member as soon as its own lanes are
- * done. Results are encoded straight into a reused buffer (protocol
- * appendResultResponse), so the steady-state response path performs
- * no per-request heap allocation.
+ * and a reusable encode buffer. A worker claims one job at a time,
+ * looks its front end (synthesis + alias pipeline + MDEs) up once in
+ * a daemon-wide LRU RegionCache, and runs it lane by lane: one pooled
+ * simulate() per requested backend. Lanes are the unit of scheduling:
+ * between two lanes of a job the worker serves every queued job of
+ * its own interactive ring, and once the watchdog has answered the
+ * job its remaining lanes are skipped. Results are encoded straight
+ * into the reused buffer (protocol appendResultResponse), so the
+ * steady-state response path performs no per-request heap
+ * allocation.
  *
  * Backpressure: per-class ring capacity bounds admission; a full ring
- * answers `queue_full` immediately. Shutdown: drain() stops the
- * accept loop, lets every admitted job finish and flush its response,
- * then closes connections — SIGTERM/SIGINT in the nachosd binary and
- * the `shutdown` request both route here.
+ * answers `queue_full` immediately. A client that stops reading cannot
+ * stall the daemon: a response send that makes no progress for
+ * kSendTimeout drops that connection (`conns.sendTimeouts`).
+ * Shutdown: drain() stops the accept loop, lets every admitted job
+ * finish and flush its response, then closes connections —
+ * SIGTERM/SIGINT in the nachosd binary and the `shutdown` request both
+ * route here.
  */
 
 #ifndef NACHOS_SERVICE_DAEMON_HH
 #define NACHOS_SERVICE_DAEMON_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "harness/batch_run.hh"
+#include "harness/region_cache.hh"
 #include "service/job_queue.hh"
 #include "service/protocol.hh"
 #include "support/stats.hh"
 
 namespace nachos {
 
-/** Hard cap on the backend lanes of one coalesced bulk group. */
-constexpr uint32_t kMaxGroupLanes = 64;
+/** How long one response send may block before the daemon gives up
+ *  on the connection (SO_SNDTIMEO on every accepted socket). */
+constexpr std::chrono::seconds kSendTimeout{2};
 
 struct DaemonConfig
 {
@@ -78,9 +83,6 @@ struct DaemonConfig
     size_t bulkQueueCapacity = 256;
     /** Resident (region, analysis, mdes) cache entries; 0 disables. */
     size_t regionCacheEntries = 64;
-    /** Max total backend lanes per coalesced bulk group (1 disables
-     *  coalescing). Hard cap: kMaxGroupLanes. */
-    uint32_t maxBatchLanes = kMaxGroupLanes;
     /** Deadline applied to jobs that do not set one; 0 = none. */
     uint64_t defaultTimeoutMillis = 0;
 };
@@ -129,15 +131,20 @@ class Daemon
     /** Per-connection shared state; the last owner closes the fd. */
     struct Connection
     {
-        explicit Connection(int connFd, uint32_t shardIndex)
-            : fd(connFd), shard(shardIndex)
+        Connection(int connFd, uint32_t shardIndex, Daemon &owner)
+            : fd(connFd), shard(shardIndex), daemon(owner)
         {}
         ~Connection();
 
         /** Serialized, best-effort line write (MSG_NOSIGNAL). */
         void sendLine(const std::string &line);
 
-        /** As above for a prebuilt buffer that already ends in \n. */
+        /**
+         * As above for a prebuilt buffer that already ends in \n. A
+         * send that times out (the peer stopped reading) shuts the
+         * socket down and marks the connection dead; every later send
+         * returns at once.
+         */
         void sendBytes(std::string_view bytes);
 
         /** Wake a reader blocked in recv (drain path). */
@@ -145,18 +152,22 @@ class Daemon
 
         int fd;
         uint32_t shard; ///< ring this connection's jobs land in
+        Daemon &daemon;
         std::mutex writeMutex;
+        bool dead = false; ///< a send timed out (under writeMutex)
         std::mutex jobsMutex;
         /** Live jobs by client request id (for cancel/duplicate). */
         std::map<uint64_t, std::weak_ptr<Job>> jobs;
     };
 
-    /** Reused buffers of one executing group. */
-    struct GroupScratch
+    /** What one job's lanes produced. */
+    struct JobResult
     {
-        std::vector<std::shared_ptr<Job>> claim;
-        std::vector<BatchRunItem> items;
-        std::string encode; ///< response line
+        std::shared_ptr<const RegionCacheEntry> entry;
+        std::optional<SimResult> lsq;
+        std::optional<SimResult> sw;
+        std::optional<SimResult> nachos;
+        StageTimes times;
     };
 
     /** One slice of the serving plane: ring + worker + pool. */
@@ -168,16 +179,13 @@ class Daemon
 
         JobQueue queue;
         HierarchyPool pool; ///< reused by every lane the shard runs
-        GroupScratch group; ///< the claimed group
-        /** A job served between that group's lanes: never the group's
-         *  buffers, which stay live until the group finishes. */
-        GroupScratch interrupt;
+        /** Response line. A job encodes only after its last lane, and
+         *  one served between those lanes finishes first. */
+        std::string encode;
         std::jthread worker;
         mutable std::mutex statsMutex;
         StatSet stats; ///< completed/latency/batch counters
     };
-
-    class GroupResponder;
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> conn);
@@ -188,15 +196,14 @@ class Daemon
     void handleCancel(const std::shared_ptr<Connection> &conn,
                       const Request &req);
     void shardLoop(uint32_t index);
-    /** Run `scratch.claim`; serve the interactive ring between its
-     *  lanes iff `interruptible` (never for a job served there). */
-    void executeGroup(Shard &shard, GroupScratch &scratch,
-                      bool interruptible);
+    /** Run a claimed job and answer it; serve the interactive ring
+     *  between its lanes iff `interruptible` (never for a job served
+     *  there). */
+    void executeJob(Shard &shard, Job &job, bool interruptible);
     /** Claim and finish every queued job of the shard's own
-     *  interactive ring (called between the lanes of a group). */
+     *  interactive ring (called between the lanes of a job). */
     void serveInteractive(Shard &shard);
-    void completeMember(Shard &shard, GroupScratch &scratch, Job &job,
-                        const BatchRunResult &result);
+    void completeMember(Shard &shard, Job &job, const JobResult &result);
     void failMember(Shard &shard, Job &job, const std::string &message);
     void watchdogLoop(std::stop_token st);
     void registerDeadline(std::shared_ptr<Job> job);

@@ -18,14 +18,10 @@
  * became a late discard even though it started well before the
  * deadline).
  *
- * claim() also performs bulk coalescing: consecutive-enough bulk jobs
- * that agree on their region work (harness sameRegionWork) AND their
- * machine overrides are claimed as one group, which the shard then
- * runs lane by lane behind one cached front end. Region work and
- * machine config are separate axes on purpose: the region cache spans
- * machine configs, while a machine-homogeneous group reuses one pooled
- * hierarchy for all its lanes. Between those lanes the worker takes
- * jobs from its interactive ring alone (claimInteractive).
+ * claim() hands out one job at a time: interactive first, then the
+ * bulk ring in strict FIFO order. The shard runs a bulk job lane by
+ * lane (one simulate() per requested backend) and between those lanes
+ * takes jobs from its interactive ring alone (claimInteractive).
  */
 
 #ifndef NACHOS_SERVICE_JOB_QUEUE_HH
@@ -39,7 +35,6 @@
 #include <memory>
 #include <mutex>
 #include <string_view>
-#include <vector>
 
 #include "harness/run_json.hh"
 #include "support/json.hh"
@@ -83,13 +78,6 @@ struct Job
     {
         return state.compare_exchange_strong(from, to);
     }
-
-    /** Eligible for cross-request coalescing? (Bulk, no test delay.) */
-    bool
-    coalescible() const
-    {
-        return spec.klass == AdmitClass::Bulk && spec.sleepMillis == 0;
-    }
 };
 
 /** Bounded dual-class ring of shared Jobs (one per shard). */
@@ -110,33 +98,25 @@ class JobQueue
                  const std::function<void()> &onAdmit = {});
 
     /**
-     * Claim the next unit of work into `out` (cleared first). Every
+     * Claim the next live job: the interactive ring's head if it has
+     * one, otherwise the bulk ring's head (strict FIFO per class). The
      * returned job has already made the Queued -> Running transition
      * under the ring lock — the caller owns its execution and its
      * response unless the watchdog later times it out.
      *
-     * Interactive jobs have priority and are claimed one at a time.
-     * Otherwise the oldest bulk job leads a group: while the group's
-     * total backend-lane count stays <= `maxLanes`, younger
-     * coalescible bulk jobs with the same region work and the same
-     * machine overrides join it (jobs that don't match are skipped in
-     * place and keep their turn).
-     *
-     * Blocks up to `wait` for work (0 = try only). Returns the number
-     * of jobs claimed; 0 on timeout or once the queue is closed and
-     * drained. Cancelled/timed-out corpses are dropped here.
+     * Blocks up to `wait` for work (0 = try only). Returns nullptr on
+     * timeout or once the queue is closed and drained.
+     * Cancelled/timed-out corpses are dropped here.
      */
-    size_t claim(std::vector<std::shared_ptr<Job>> &out,
-                 uint32_t maxLanes, std::chrono::milliseconds wait);
+    std::shared_ptr<Job> claim(std::chrono::milliseconds wait);
 
     /**
      * Non-blocking, interactive-only claim: the next live interactive
-     * job into `out` (cleared first), with the same Queued -> Running
-     * transition under the ring lock as claim(). Returns 1, or 0 when
-     * the interactive ring holds no live job. A worker calls this
-     * between the lanes of a bulk group.
+     * job, with the same Queued -> Running transition under the ring
+     * lock as claim(); nullptr when the interactive ring holds no live
+     * job. A worker calls this between the lanes of a bulk job.
      */
-    size_t claimInteractive(std::vector<std::shared_ptr<Job>> &out);
+    std::shared_ptr<Job> claimInteractive();
 
     /**
      * Cancel a still-queued job (matched by pointer identity).
@@ -153,8 +133,9 @@ class JobQueue
     bool closed() const;
 
   private:
-    /** Pop corpses, claim the first live interactive job; lock held. */
-    bool claimInteractiveLocked(std::vector<std::shared_ptr<Job>> &out);
+    /** Pop corpses, claim the first live job of `ring`; lock held. */
+    static std::shared_ptr<Job>
+    claimLocked(std::deque<std::shared_ptr<Job>> &ring);
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

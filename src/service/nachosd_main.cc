@@ -7,12 +7,12 @@
  *   nachosd --socket /tmp/nachos.sock [--tcp-port 9377]
  *           [--workers N] [--queue-capacity N]
  *           [--bulk-queue-capacity N] [--region-cache N]
- *           [--max-batch-lanes N] [--default-timeout-ms N] [--quiet]
+ *           [--default-timeout-ms N] [--quiet]
  *
  * --workers is the shard count: each worker owns its own job rings
- * and hierarchy pool. --max-batch-lanes 1 turns bulk coalescing off
- * and --region-cache 0 rebuilds every front end (the A/B baseline);
- * both run on the one execution path.
+ * and hierarchy pool, and claims one job at a time. --region-cache 0
+ * rebuilds every front end (the A/B baseline) on the same execution
+ * path.
  */
 
 #include <csignal>
@@ -31,8 +31,8 @@ usage(std::ostream &os)
 {
     os << "usage: nachosd --socket PATH [--tcp-port N] [--workers N]\n"
           "               [--queue-capacity N] [--bulk-queue-capacity N]\n"
-          "               [--region-cache N] [--max-batch-lanes N]\n"
-          "               [--default-timeout-ms N] [--quiet]\n";
+          "               [--region-cache N] [--default-timeout-ms N]\n"
+          "               [--quiet]\n";
 }
 
 uint64_t
@@ -80,10 +80,6 @@ main(int argc, char *argv[])
         } else if (arg == "--region-cache") {
             config.regionCacheEntries = parseCount(
                 "--region-cache", value("--region-cache"), 0, 1 << 20);
-        } else if (arg == "--max-batch-lanes") {
-            config.maxBatchLanes = static_cast<uint32_t>(parseCount(
-                "--max-batch-lanes", value("--max-batch-lanes"), 1,
-                nachos::kMaxGroupLanes));
         } else if (arg == "--default-timeout-ms") {
             config.defaultTimeoutMillis =
                 parseCount("--default-timeout-ms",
@@ -120,8 +116,7 @@ main(int argc, char *argv[])
                                   : std::string(),
                    " (", config.workers, " shards, rings ",
                    config.queueCapacity, "/", config.bulkQueueCapacity,
-                   ", cache ", config.regionCacheEntries, ", lanes ",
-                   config.maxBatchLanes, ")");
+                   ", cache ", config.regionCacheEntries, ")");
 
     // Detached on purpose: sigwait has no cancellation point, and the
     // process is exiting when this thread still blocks.

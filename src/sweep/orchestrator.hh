@@ -12,12 +12,11 @@
  *
  *  - Daemon: each point becomes a bulk-class run request pipelined
  *    over one nachosd connection with a bounded in-flight window. The
- *    daemon coalesces same-machine points into groups run lane by
- *    lane; points differing only in machine config share its region
- *    cache but never a group. Responses are matched by id, so
- *    out-of-order completion is fine; records are appended in point
- *    order (a kill mid-run therefore loses only trailing work, which
- *    resume recomputes).
+ *    daemon runs each point as its own job; points differing only in
+ *    machine config share its region cache. Responses are matched by
+ *    id, so out-of-order completion is fine; records are appended in
+ *    point order (a kill mid-run therefore loses only trailing work,
+ *    which resume recomputes).
  *
  * Resume: points whose hash already has a store record are skipped
  * before any work is issued. Running the same spec against the same

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "cgra/simulator.hh"
-#include "harness/batch_run.hh"
+#include "mem/hierarchy_pool.hh"
 #include "harness/region_cache.hh"
 #include "harness/runner.hh"
 #include "ir/serialize.hh"
@@ -124,25 +124,20 @@ TEST(RegionCache, SimulationDoesNotMutateCachedEntries)
     ASSERT_TRUE(RegionCache::entryIntact(*entry));
 
     // Simulate every backend against the cached front end, twice,
-    // through the same grouped path the daemon uses.
-    struct Hits : GroupHooks
-    {
-        std::vector<bool> cacheHit;
-        void
-        memberDone(size_t, BatchRunResult &r) override
-        {
-            cacheHit.push_back(r.cacheHit);
-        }
-    };
+    // the way a daemon shard does: one lookup, then one pooled
+    // simulate() per backend.
     HierarchyPool pool;
     for (int round = 0; round < 2; ++round) {
         RunRequest req = request(3);
         req.invocationsOverride = 2;
-        const std::vector<BatchRunItem> items{{&info, &req}};
-        Hits hits;
-        runGroup(items, cache, pool, hits);
-        ASSERT_EQ(hits.cacheHit.size(), 1u);
-        EXPECT_TRUE(hits.cacheHit[0]);
+        bool hit = false;
+        auto served = cache.acquire(info, req, &hit);
+        EXPECT_TRUE(hit);
+        const SimConfig sim = simConfigFor(info, req);
+        for (const BackendKind kind : {BackendKind::OptLsq,
+                                       BackendKind::NachosSw,
+                                       BackendKind::Nachos})
+            simulate(served->region, served->mdes, kind, sim, pool);
         EXPECT_TRUE(RegionCache::entryIntact(*entry)) << round;
     }
     EXPECT_EQ(regionToString(entry->region), before);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,6 +37,7 @@ struct RunOpts
     uint64_t timeoutMillis = 0;
     uint64_t sleepMillis = 0;
     const char *klass = nullptr; // "interactive" | "bulk"
+    MachineOverrides machine{};
 };
 
 JsonValue
@@ -59,6 +61,8 @@ runPayload(const std::string &workload, const RunOpts &opts)
         run.set("sleepMillis", opts.sleepMillis);
     if (opts.klass)
         run.set("class", opts.klass);
+    if (opts.machine.any())
+        run.set("machine", encodeMachineOverrides(opts.machine));
     return run;
 }
 
@@ -616,16 +620,15 @@ TEST_F(DaemonTest, DefaultTimeoutAppliesWhenJobSetsNone)
     EXPECT_EQ(errorCode(*response), "timeout");
 }
 
-// ---- serving plane: coalescing, cache, classes, lane scheduling ----
+// ---- serving plane: cache, classes, lane scheduling ----
 
-// A coalesced bulk burst returns per-request-correct, byte-identical
-// results, and the cache/batch metrics add up:
-// cache.hits + cache.misses == batch.groups (one front-end lookup per
-// executed group).
-TEST_F(DaemonTest, BulkBurstCoalescesAndStaysByteIdentical)
+// A bulk burst returns per-request-correct, byte-identical results,
+// and the cache/batch metrics add up: every executed job counts one
+// batch.groups and one front-end lookup (cache.hits + cache.misses).
+TEST_F(DaemonTest, BulkBurstStaysByteIdentical)
 {
     DaemonConfig config;
-    config.workers = 1; // one shard: the burst must coalesce
+    config.workers = 1; // one shard: one cache key, one miss
     startWith(config);
     auto client = connect();
     ASSERT_NE(client, nullptr);
@@ -648,13 +651,10 @@ TEST_F(DaemonTest, BulkBurstCoalescesAndStaysByteIdentical)
               "the accounting to settle");
     EXPECT_EQ(counterValue("jobs.accepted"), kJobs);
     EXPECT_EQ(counterValue("jobs.acceptedBulk"), kJobs);
-    const uint64_t groups = counterValue("batch.groups");
-    EXPECT_GE(groups, 1u);
-    EXPECT_LE(groups, kJobs);
+    EXPECT_EQ(counterValue("batch.groups"), kJobs);
     EXPECT_EQ(counterValue("batch.lanes"), kJobs); // 1 backend each
-    EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
-              groups);
-    EXPECT_GE(counterValue("cache.hits"), groups - 1); // one key
+    EXPECT_EQ(counterValue("cache.misses"), 1u);
+    EXPECT_EQ(counterValue("cache.hits"), kJobs - 1); // one key
     EXPECT_EQ(counterValue("cache.size"), 1u);
 }
 
@@ -706,14 +706,13 @@ TEST_F(DaemonTest, PerClassQueueBounds)
     EXPECT_EQ(counterValue("jobs.rejected"), 1u);
 }
 
-// The A/B baseline shape (--max-batch-lanes 1 --region-cache 0) runs
-// on the one execution path as singleton groups behind a build-always
-// cache, and serves the same bytes as the direct runner.
+// The A/B baseline shape (--region-cache 0) runs on the one execution
+// path behind a build-always cache, and serves the same bytes as the
+// direct runner.
 TEST_F(DaemonTest, LegacyModeMatchesDirectRunner)
 {
     DaemonConfig config;
     config.workers = 1;
-    config.maxBatchLanes = 1;
     config.regionCacheEntries = 0;
     startWith(config);
     auto client = connect();
@@ -733,12 +732,12 @@ TEST_F(DaemonTest, LegacyModeMatchesDirectRunner)
     }
     waitUntil([&] { return counterValue("jobs.completed") == 4; },
               "the accounting to settle");
-    // Four singleton groups, each building its own front end.
+    // Four jobs, each building its own front end.
     EXPECT_EQ(counterValue("batch.groups"), 4u);
     EXPECT_EQ(counterValue("batch.lanes"), 4u);
-    EXPECT_EQ(counterValue("batch.coalescedJobs"), 0u);
     EXPECT_EQ(counterValue("cache.misses"), 4u);
     EXPECT_EQ(counterValue("cache.hits"), 0u);
+    EXPECT_EQ(counterValue("cache.size"), 0u);
 }
 
 /** Reads `n` responses off `client` and returns their ids in arrival
@@ -761,8 +760,9 @@ readInArrivalOrder(ServiceClient &client, size_t n,
 }
 
 // Lanes are the unit of scheduling: an interactive job admitted while
-// a coalesced bulk group runs is claimed at the next lane boundary and
-// answered before the group's last member.
+// a bulk job runs is claimed at that job's next lane boundary and
+// answered before it. Without lane interleaving the probe could only
+// be claimed once the bulk job had finished.
 TEST_F(DaemonTest, InteractiveJobIsServedBetweenBulkLanes)
 {
     DaemonConfig config;
@@ -771,62 +771,50 @@ TEST_F(DaemonTest, InteractiveJobIsServedBetweenBulkLanes)
     auto client = connect();
     ASSERT_NE(client, nullptr);
 
-    // A sleeper holds the worker while three identical bulk jobs
-    // queue up behind it, so they are claimed as one group.
-    RunOpts sleeper{.invocations = 1, .backends = {"nachos"}};
-    sleeper.sleepMillis = 100;
-    ASSERT_TRUE(client->sendRequest(runRequest(1, "164.gzip", sleeper)));
+    // Two lanes of ~40k invocations each. The test delay runs after
+    // the claim and before the first lane, so the probe is queued
+    // before either lane starts.
+    RunOpts bulk{.seed = 7, .invocations = 40'000,
+                 .backends = {"lsq", "nachos"}};
+    bulk.klass = "bulk";
+    bulk.sleepMillis = 100;
+    ASSERT_TRUE(client->sendRequest(runRequest(1, "164.gzip", bulk)));
     waitUntil(
         [&] {
             return counterValue("jobs.accepted") == 1 &&
                    counterValue("queue.depth") == 0;
         },
-        "the sleeper to start running");
-    // Six lanes of ~40k invocations each: the group runs for a few
-    // hundred milliseconds.
-    RunOpts bulk{.seed = 7, .invocations = 40'000,
-                 .backends = {"lsq", "nachos"}};
-    bulk.klass = "bulk";
-    for (uint64_t id = 2; id <= 4; ++id)
-        ASSERT_TRUE(client->sendRequest(runRequest(id, "164.gzip", bulk)));
-    waitUntil(
-        [&] {
-            return counterValue("jobs.accepted") == 4 &&
-                   counterValue("queue.depth") == 0;
-        },
-        "the bulk group to be claimed");
+        "the bulk job to be claimed");
 
     const RunOpts probe{.invocations = 2, .backends = {"nachos"}};
-    ASSERT_TRUE(client->sendRequest(runRequest(5, "179.art", probe)));
+    ASSERT_TRUE(client->sendRequest(runRequest(2, "179.art", probe)));
 
     std::map<uint64_t, JsonValue> byId;
     const std::vector<uint64_t> order =
-        readInArrivalOrder(*client, 5, byId);
-    ASSERT_EQ(order.size(), 5u);
-    const auto at = [&](uint64_t id) {
-        return std::find(order.begin(), order.end(), id) - order.begin();
-    };
-    EXPECT_LT(at(5), at(4)) << "the probe waited for the whole group";
+        readInArrivalOrder(*client, 2, byId);
+    ASSERT_EQ(order, (std::vector<uint64_t>{2, 1}))
+        << "the probe waited for the whole bulk job";
     for (const auto &[id, response] : byId)
-        EXPECT_STREQ(responseType(response), "result") << id;
-    EXPECT_EQ(dumpJson(*byId.at(5).find("outcome")),
+        ASSERT_STREQ(responseType(response), "result") << id;
+    EXPECT_EQ(dumpJson(*byId.at(2).find("outcome")),
               directOutcomeJson("179.art", probe));
+    EXPECT_EQ(dumpJson(*byId.at(1).find("outcome")),
+              directOutcomeJson("164.gzip", bulk));
 
-    waitUntil([&] { return counterValue("jobs.completed") == 5; },
+    waitUntil([&] { return counterValue("jobs.completed") == 2; },
               "the accounting to settle");
-    // The bulk jobs formed one group; the sleeper and the probe are
-    // singleton groups of their own, each with one front-end lookup.
-    EXPECT_EQ(counterValue("batch.coalescedJobs"), 2u);
-    EXPECT_EQ(counterValue("batch.groups"), 3u);
-    EXPECT_EQ(counterValue("batch.lanes"), 1u + 6u + 1u);
+    // One front-end lookup per executed job, one lane per backend.
+    EXPECT_EQ(counterValue("batch.groups"), 2u);
+    EXPECT_EQ(counterValue("batch.lanes"), 2u + 1u);
     EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
               counterValue("batch.groups"));
 }
 
-// Serving interactive jobs between the lanes of a group never changes
-// what the group's members get: every bulk outcome (mixed backends and
-// invocation counts) stays byte-identical to a direct runWorkload, and
-// so does every interleaved interactive outcome.
+// Serving interactive jobs between the lanes of bulk jobs never
+// changes what those jobs get: every bulk outcome (mixed backends,
+// invocation counts and machines, one cached front end) stays
+// byte-identical to a direct runWorkload, and so does every
+// interleaved interactive outcome.
 TEST_F(DaemonTest, InterleavedBulkOutcomesStayByteIdentical)
 {
     DaemonConfig config;
@@ -854,6 +842,9 @@ TEST_F(DaemonTest, InterleavedBulkOutcomesStayByteIdentical)
         {.seed = 3, .invocations = 30'000, .backends = {"nachos"}},
         {.seed = 3, .invocations = 10'000, .backends = {"sw"}},
         {.seed = 3, .invocations = 25'000, .backends = {"lsq", "nachos"}},
+        {.seed = 3, .invocations = 15'000, .backends = {"lsq", "nachos"},
+         .machine = {.lsqBanks = 2, .llcSizeBytes = 1u << 20,
+                     .dramLatency = 400}},
     };
     for (size_t i = 0; i < bulk.size(); ++i) {
         bulk[i].klass = "bulk";
@@ -863,12 +854,12 @@ TEST_F(DaemonTest, InterleavedBulkOutcomesStayByteIdentical)
     waitUntil(
         [&] {
             return counterValue("jobs.accepted") == 1 + bulk.size() &&
-                   counterValue("queue.depth") == 0;
+                   counterValue("queue.bulkDepth") < bulk.size();
         },
-        "the bulk group to be claimed");
+        "the first bulk job to be claimed");
 
-    // Probe from a second connection, one at a time, while the group
-    // runs: each lands at some lane boundary.
+    // Probe from a second connection, one at a time, while the bulk
+    // jobs run: each lands at some lane boundary.
     const std::vector<RunOpts> probes = {
         {.seed = 2, .invocations = 3, .backends = {"nachos"}},
         {.seed = 5, .invocations = 2, .backends = {"lsq", "sw"}},
@@ -890,13 +881,15 @@ TEST_F(DaemonTest, InterleavedBulkOutcomesStayByteIdentical)
         ASSERT_STREQ(responseType(*response), "result") << i;
         EXPECT_EQ(dumpJson(*response->find("outcome")),
                   directOutcomeJson("164.gzip", bulk[i]))
-            << "bulk member " << i;
+            << "bulk job " << i;
     }
 
     const uint64_t total = 1 + bulk.size() + probes.size();
     waitUntil([&] { return counterValue("jobs.completed") == total; },
               "the accounting to settle");
-    EXPECT_EQ(counterValue("batch.coalescedJobs"), bulk.size() - 1);
+    EXPECT_EQ(counterValue("batch.groups"), total);
+    // Sleeper, bulk (one key for all five), and two probe seeds.
+    EXPECT_EQ(counterValue("cache.misses"), 4u);
     EXPECT_EQ(counterValue("jobs.accepted"),
               counterValue("jobs.completed") +
                   counterValue("jobs.cancelled") +
@@ -905,7 +898,7 @@ TEST_F(DaemonTest, InterleavedBulkOutcomesStayByteIdentical)
               counterValue("batch.groups"));
 }
 
-// A member the watchdog answered with `timeout` while it ran is not
+// A job the watchdog answered with `timeout` while it ran is not
 // simulated any further: its remaining lanes are skipped (and counted)
 // at the next lane boundary, and the accounting still balances.
 TEST_F(DaemonTest, TimedOutMemberSkipsItsRemainingLanes)
@@ -925,7 +918,7 @@ TEST_F(DaemonTest, TimedOutMemberSkipsItsRemainingLanes)
     ASSERT_TRUE(timedOut.has_value());
     EXPECT_EQ(errorCode(*timedOut), "timeout");
     waitUntil([&] { return counterValue("jobs.lateResults") == 1; },
-              "the timed-out member to be settled");
+              "the timed-out job to be settled");
     EXPECT_EQ(counterValue("jobs.lanesSkipped"), 2u);
 
     // The worker is free again and serves the next job normally.
@@ -1005,9 +998,62 @@ TEST_F(DaemonTest, AdmissionAccountingBalances)
     EXPECT_EQ(counterValue("jobs.acceptedBulk") +
                   counterValue("jobs.acceptedInteractive"),
               kTotal);
-    // Every executed group did exactly one front-end lookup.
+    // Every executed job did exactly one front-end lookup.
+    EXPECT_EQ(counterValue("batch.groups"), kTotal);
     EXPECT_EQ(counterValue("cache.hits") + counterValue("cache.misses"),
               counterValue("batch.groups"));
+}
+
+// A client that pipelines requests but never reads its responses
+// fills its socket buffer. The daemon gives up on that connection after
+// kSendTimeout instead of pinning the shard worker (and with it the
+// global watchdog) in send(): another connection still gets its
+// result, the accounting balances, and drain() returns.
+TEST_F(DaemonTest, StalledReaderDoesNotPinTheShard)
+{
+    DaemonConfig config;
+    config.workers = 1;
+    config.queueCapacity = 4096;
+    startWith(config);
+    auto stalled = connect();
+    auto probe = connect();
+    ASSERT_NE(stalled, nullptr);
+    ASSERT_NE(probe, nullptr);
+
+    // Far more response bytes than a socket buffer holds.
+    constexpr uint64_t kFlood = 1024;
+    const RunOpts cheap{.invocations = 1, .backends = {"nachos"}};
+    std::string flood;
+    for (uint64_t id = 1; id <= kFlood; ++id)
+        flood += dumpJson(runRequest(id, "164.gzip", cheap)) + "\n";
+    ASSERT_TRUE(stalled->sendRaw(flood));
+    waitUntil([&] { return counterValue("jobs.accepted") == kFlood; },
+              "the flood to be admitted");
+
+    auto answer = std::async(std::launch::async, [&] {
+        return probe->call(runRequest(1, "179.art", cheap));
+    });
+    const bool answered = answer.wait_for(std::chrono::seconds(60)) ==
+                          std::future_status::ready;
+    if (!answered)
+        stalled.reset(); // unpin the daemon so the test can finish
+    ASSERT_TRUE(answered) << "the stalled reader pinned the shard";
+    const std::optional<JsonValue> response = answer.get();
+    ASSERT_TRUE(response.has_value());
+    ASSERT_STREQ(responseType(*response), "result");
+    EXPECT_EQ(dumpJson(*response->find("outcome")),
+              directOutcomeJson("179.art", cheap));
+
+    waitUntil(
+        [&] { return counterValue("jobs.completed") == kFlood + 1; },
+        "the accounting to settle");
+    EXPECT_EQ(counterValue("conns.sendTimeouts"), 1u);
+    EXPECT_EQ(counterValue("jobs.accepted"),
+              counterValue("jobs.completed") +
+                  counterValue("jobs.cancelled") +
+                  counterValue("jobs.expired"));
+    daemon_->drain();
+    EXPECT_EQ(counterValue("jobs.outstanding"), 0u);
 }
 
 } // namespace

@@ -9,10 +9,10 @@
 # timing-only output), bench_service_slo (throughput numbers).
 #
 # The final pass checks the serving plane: result lines served by a
-# sharded nachosd (region cache + bulk coalescing enabled) must be
-# byte-identical to nachos_client --direct, which runs the same
-# decode/run/encode path in-process — across the cache-miss, the
-# cache-hit, and the coalesced-group serving paths.
+# sharded nachosd (region cache enabled) must be byte-identical to
+# nachos_client --direct, which runs the same decode/run/encode path
+# in-process — on a cache miss, on a cache hit, under a concurrent
+# burst, and with machine overrides.
 
 set -u
 
@@ -79,8 +79,8 @@ done
 # byte-identical to the in-process reference. Each client connection
 # numbers requests from 1, matching --direct's fixed id, so whole raw
 # lines compare with cmp. The first daemon run per workload misses the
-# region cache, the second hits it, and the parallel burst at the end
-# exercises the coalesced multi-request group path.
+# region cache, the second hits it, and the concurrent burst at the end
+# has several connections' jobs queued on the daemon at once.
 BIN_DIR="$BENCH_DIR/../bin"
 NACHOSD_PID=
 stop_daemon() {
@@ -98,7 +98,7 @@ if [ ! -x "$BIN_DIR/nachosd" ] || [ ! -x "$BIN_DIR/nachos_client" ]; then
 else
     SOCK="$TMP/nachosd.sock"
     "$BIN_DIR/nachosd" --socket "$SOCK" --workers 2 \
-        --max-batch-lanes 8 --region-cache 16 --quiet &
+        --region-cache 16 --quiet &
     NACHOSD_PID=$!
     for _ in $(seq 1 100); do
         [ -S "$SOCK" ] && break
@@ -137,15 +137,15 @@ else
             done
         done
 
-        # Coalesced path: identical bulk requests arriving together get
-        # claimed as one group; every response must still match.
+        # Concurrent burst: identical bulk requests from four
+        # connections at once; every response must still match.
         ref="$TMP/direct.179.art.nachos"
         pids=""
         for i in 1 2 3 4; do
             "$BIN_DIR/nachos_client" --socket "$SOCK" --raw run \
                 --workload 179.art --seed 3 --backend nachos \
                 --invocations 2 --class bulk \
-                > "$TMP/coalesce.$i" &
+                > "$TMP/burst.$i" &
             pids="$pids $!"
         done
         burst_ok=1
@@ -153,12 +153,12 @@ else
             wait "$pid" || burst_ok=0
         done
         if [ "$burst_ok" -ne 1 ]; then
-            echo "FAIL: coalesced burst client exited non-zero" >&2
+            echo "FAIL: concurrent burst client exited non-zero" >&2
             failures=$((failures + 1))
         else
             for i in 1 2 3 4; do
-                check "179.art/nachos" "$ref" "$TMP/coalesce.$i" \
-                    "daemon vs direct, coalesced burst $i/4"
+                check "179.art/nachos" "$ref" "$TMP/burst.$i" \
+                    "daemon vs direct, concurrent burst $i/4"
             done
         fi
 
