@@ -33,7 +33,9 @@ LsqBackend::beginInvocation(uint64_t inv)
         lsq_->reset();
     }
     dyn_.assign(n, {});
-    parked_.assign(n, {});
+    parked_.resize(n);
+    for (std::vector<ParkedLoad> &p : parked_)
+        p.clear();
 }
 
 void
@@ -42,8 +44,8 @@ LsqBackend::memAddrReady(OpId op, uint64_t addr, uint32_t size,
 {
     const uint32_t m = idxOf(op);
     const bool is_store = region_.op(op).isStore();
-    auto allocated = lsq_->addressReady(m, is_store, addr, size, cycle);
-    for (const auto &[mi, alloc_cycle] : allocated)
+    lsq_->addressReady(m, is_store, addr, size, cycle, allocated_);
+    for (const auto &[mi, alloc_cycle] : allocated_)
         onAllocated(mi, alloc_cycle);
 }
 
@@ -96,7 +98,7 @@ LsqBackend::finishLoadDecision(OpId load, const LoadSearchResult &dec)
       case LoadSearchResult::Kind::ToCache:
         lsq_->loadPerformAt(m, dec.cycle);
         core_->performMemAccess(load, dec.cycle);
-        drainCommits(lsq_->resumeCommits());
+        resumeCommits();
         return;
       case LoadSearchResult::Kind::ForwardFrom: {
         const uint32_t s = dec.store;
@@ -112,7 +114,7 @@ LsqBackend::finishLoadDecision(OpId load, const LoadSearchResult &dec)
         } else {
             parked_[s].push_back({load, dec.cycle, true});
         }
-        drainCommits(lsq_->resumeCommits());
+        resumeCommits();
         return;
       }
       case LoadSearchResult::Kind::WaitCommit:
@@ -141,29 +143,50 @@ LsqBackend::waitOrPerformLoad(OpId load, uint64_t ready)
     const uint64_t when = std::max(ready, st.commitFloor);
     lsq_->loadPerformAt(m, when);
     core_->performMemAccess(load, when);
-    drainCommits(lsq_->resumeCommits());
+    resumeCommits();
 }
 
 void
 LsqBackend::commitStore(uint32_t m, uint64_t data_cycle)
 {
-    auto committed = lsq_->storeDataArrived(m, data_cycle);
+    OptLsq::Grants &committed = leaseBatch();
+    lsq_->storeDataArrived(m, data_cycle, committed);
     // Loads forwarding from this store only need the data, which now
     // exists; loads waiting on commits are released per cascade entry.
     releaseForwardWaiters(m);
-    drainCommits(std::move(committed));
+    drainCommits(committed);
+}
+
+/** The commit buffer of the next drain nesting level. */
+OptLsq::Grants &
+LsqBackend::leaseBatch()
+{
+    if (batchDepth_ == batches_.size())
+        batches_.emplace_back();
+    return batches_[batchDepth_++];
 }
 
 void
-LsqBackend::drainCommits(std::vector<std::pair<uint32_t, uint64_t>> batch)
+LsqBackend::resumeCommits()
+{
+    OptLsq::Grants &batch = leaseBatch();
+    lsq_->resumeCommits(batch);
+    drainCommits(batch);
+}
+
+/** Perform `batch` and the commits it cascades into, then return the
+ *  batch's nesting level. */
+void
+LsqBackend::drainCommits(OptLsq::Grants &batch)
 {
     while (!batch.empty()) {
         for (const auto &[s, commit] : batch) {
             core_->performMemAccess(region_.memOps()[s], commit);
             releaseCommitWaiters(s);
         }
-        batch = lsq_->resumeCommits();
+        lsq_->resumeCommits(batch);
     }
+    --batchDepth_;
 }
 
 void
@@ -187,20 +210,19 @@ LsqBackend::releaseForwardWaiters(uint32_t store_m)
 void
 LsqBackend::releaseCommitWaiters(uint32_t store_m)
 {
-    // Detach the woken entries first: re-evaluation may park a load on
-    // another store (and cascade further commits) while we iterate.
-    std::vector<ParkedLoad> woken;
+    // A committed store has its data, so its forward waiters left when
+    // the data arrived, and no load parks on it again (loads park only
+    // on stores without data or uncommitted ones). The re-evaluations
+    // below may park loads on other stores and cascade further commits,
+    // but never touch this list.
     auto &parked = parked_[store_m];
-    for (auto it = parked.begin(); it != parked.end();) {
-        if (it->wantsForward) {
-            ++it;
-            continue;
-        }
-        woken.push_back(*it);
-        it = parked.erase(it);
-    }
-    for (const ParkedLoad &w : woken)
+    for (size_t i = 0; i < parked.size(); ++i) {
+        const ParkedLoad w = parked[i];
+        NACHOS_ASSERT(!w.wantsForward, "forward waiter on committed ",
+                      "store ", store_m);
         waitOrPerformLoad(w.load, w.searchDone);
+    }
+    parked.clear();
 }
 
 void

@@ -8,6 +8,7 @@
 #ifndef NACHOS_CGRA_LSQ_BACKEND_HH
 #define NACHOS_CGRA_LSQ_BACKEND_HH
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -51,12 +52,24 @@ class LsqBackend : public OrderingBackend
     std::vector<OpDyn> dyn_;           ///< indexed by memIndex
     /** Parked loads per store memIndex. */
     std::vector<std::vector<ParkedLoad>> parked_;
+    /** Allocation grants of the current memAddrReady (never nested:
+     * nothing it triggers resolves another address synchronously). */
+    OptLsq::Grants allocated_;
+    /**
+     * Commit batches, one per drainCommits nesting level (a drain
+     * releases loads whose performs drain further commits). A deque,
+     * so a nested level added mid-drain leaves outer references valid.
+     */
+    std::deque<OptLsq::Grants> batches_;
+    size_t batchDepth_ = 0;
 
     uint32_t idxOf(OpId op) const;
     void onAllocated(uint32_t m, uint64_t alloc_cycle);
     void searchLoad(uint32_t m);
     void commitStore(uint32_t m, uint64_t data_cycle);
-    void drainCommits(std::vector<std::pair<uint32_t, uint64_t>> batch);
+    OptLsq::Grants &leaseBatch();
+    void resumeCommits();
+    void drainCommits(OptLsq::Grants &batch);
     void releaseForwardWaiters(uint32_t store_m);
     void releaseCommitWaiters(uint32_t store_m);
     void finishLoadDecision(OpId load, const LoadSearchResult &dec);

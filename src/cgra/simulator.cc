@@ -38,18 +38,39 @@ OrderingBackend::onForwardValue(OpId op, uint64_t cycle, int64_t value)
                  " but does not override onForwardValue");
 }
 
-SimCore::SimCore(const Region &region, const MdeSet &mdes,
-                 OrderingBackend &backend, const SimConfig &cfg)
-    : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
-      placement_(region, cfg.grid), network_(placement_, cfg.net, stats_),
-      ownedHierarchy_(
-          std::make_unique<MemoryHierarchy>(cfg.mem, stats_)),
-      hierarchy_(*ownedHierarchy_), energyModel_(cfg.energy),
-      trace_(!cfg.traceFile.empty())
+/**
+ * Storage a warm simulate() reuses instead of rebuilding: one per
+ * thread, so concurrent runs (runSuite, runFuzz threads, nachosd
+ * shards) never share it. Every member is sized or rewound at the
+ * start of each run; capacity carries over, which is what keeps a
+ * warm run from allocating per invocation.
+ */
+struct SimCore::Engine
 {
-    NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
-    backend_.attach(*this);
-    buildStaticTables();
+    CalendarQueue<SimEvent> events;
+    std::vector<SimEvent> waveBuf;
+    std::vector<OpState> states;
+    std::vector<int64_t> inputArena;
+    SimTables tables;
+    /** A live SimCore on this thread is bound to this storage. */
+    bool held = false;
+};
+
+SimCore::Engine *
+SimCore::claimThreadEngine()
+{
+    thread_local Engine engine;
+    NACHOS_ASSERT(!engine.held,
+                  "another SimCore is live on this thread");
+    engine.held = true;
+    engine.events.reset();
+    return &engine;
+}
+
+void
+SimCore::EngineRelease::operator()(Engine *engine) const
+{
+    engine->held = false;
 }
 
 SimCore::SimCore(const Region &region, const MdeSet &mdes,
@@ -58,7 +79,10 @@ SimCore::SimCore(const Region &region, const MdeSet &mdes,
     : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
       placement_(region, cfg.grid), network_(placement_, cfg.net, stats_),
       hierarchy_(pool.acquire(cfg.mem, stats_)),
-      energyModel_(cfg.energy), trace_(!cfg.traceFile.empty())
+      energyModel_(cfg.energy), engine_(claimThreadEngine()),
+      events_(engine_->events), waveBuf_(engine_->waveBuf),
+      states_(engine_->states), inputArena_(engine_->inputArena),
+      tables_(engine_->tables), trace_(!cfg.traceFile.empty())
 {
     NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
     backend_.attach(*this);
@@ -443,11 +467,18 @@ SimCore::seedInvocation(uint64_t start_cycle)
     invocationEnd_ = start_cycle;
     criticalSeen_ = false;
 
+    // The queue is empty between invocations, so the first wave is
+    // exactly the seed events: build it in the wave buffer instead of
+    // routing it through the ring. It is the largest wave of most
+    // regions, and landing in a new slot every invocation it would
+    // grow every bucket of the thread's reused queue to its size.
+    NACHOS_ASSERT(events_.empty(), "events pending at invocation start");
+    now_ = start_cycle;
+    waveBuf_.clear();
     for (const SimTables::SeedEvent &s : tables_.seedEvents) {
-        events_.schedule(start_cycle,
-                         SimEvent{0, s.op, 0,
-                                  s.addrSeed ? EvKind::AddrReady
-                                             : EvKind::InputsReady});
+        waveBuf_.push_back(SimEvent{0, s.op, 0,
+                                    s.addrSeed ? EvKind::AddrReady
+                                               : EvKind::InputsReady});
     }
 }
 
@@ -509,18 +540,20 @@ SimCore::runInvocation(uint64_t inv, uint64_t start_cycle)
     backend_.beginInvocation(inv);
     seedInvocation(start_cycle);
 
-    // Wave dispatch: drain everything pending for the earliest cycle,
-    // sort it into the canonical content order, dispatch; same-cycle
-    // events scheduled by those handlers form the next wave. Ties are
-    // byte-identical events, so plain sort is deterministic.
-    while (!events_.empty()) {
-        waveBuf_.clear();
-        now_ = events_.drainWave(waveBuf_);
+    // Wave dispatch: sort the wave into the canonical content order,
+    // dispatch, then drain everything pending for the earliest cycle as
+    // the next wave; same-cycle events scheduled by the handlers form
+    // the next wave at that cycle. Ties are byte-identical events, so
+    // plain sort is deterministic.
+    for (;;) {
         std::sort(waveBuf_.begin(), waveBuf_.end(),
                   eventBefore<SimEvent>);
         planEventsDispatched_ += waveBuf_.size();
         for (const SimEvent &ev : waveBuf_)
             dispatch(ev);
+        if (events_.empty())
+            break;
+        now_ = events_.drainWave(waveBuf_);
     }
     NACHOS_ASSERT(opsRemaining_ == 0,
                   "dataflow deadlock: ", opsRemaining_,
@@ -569,19 +602,12 @@ SimCore::run()
     return result;
 }
 
-namespace {
-
-/** Dispatch on backend kind; `pool` selects the pooled SimCore ctor. */
 SimResult
-simulateImpl(const Region &region, const MdeSet &mdes, BackendKind kind,
-             const SimConfig &cfg, HierarchyPool *pool)
+simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
+         const SimConfig &cfg, HierarchyPool &pool)
 {
     const auto run = [&](OrderingBackend &backend) {
-        if (pool != nullptr) {
-            SimCore core(region, mdes, backend, cfg, *pool);
-            return core.run();
-        }
-        SimCore core(region, mdes, backend, cfg);
+        SimCore core(region, mdes, backend, cfg, pool);
         return core.run();
     };
     switch (kind) {
@@ -602,20 +628,12 @@ simulateImpl(const Region &region, const MdeSet &mdes, BackendKind kind,
     NACHOS_PANIC("unknown backend kind");
 }
 
-} // namespace
-
 SimResult
 simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
          const SimConfig &cfg)
 {
-    return simulateImpl(region, mdes, kind, cfg, nullptr);
-}
-
-SimResult
-simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
-         const SimConfig &cfg, HierarchyPool &pool)
-{
-    return simulateImpl(region, mdes, kind, cfg, &pool);
+    HierarchyPool pool;
+    return simulate(region, mdes, kind, cfg, pool);
 }
 
 } // namespace nachos

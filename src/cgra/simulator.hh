@@ -21,7 +21,8 @@
  *
  * Execution engine: the event queue carries only variable-latency
  * traffic — memory performs/completions, backend tokens and forwarded
- * values, per-memory-op readiness notifications, invocation seeds.
+ * values, per-memory-op readiness notifications. An invocation's seed
+ * events form its first wave directly.
  * Pure fixed-latency dataflow never touches it: operand delivery is
  * eager (the producer's completion writes every consumer's arena slot
  * and folds the wire arrival cycle into the consumer's ready clock),
@@ -216,23 +217,26 @@ class OrderingBackend
 class SimCore final : public BackendCore
 {
   public:
-    SimCore(const Region &region, const MdeSet &mdes,
-            OrderingBackend &backend, const SimConfig &cfg);
-
     /**
-     * Pooled-hierarchy variant: acquire the memory hierarchy from
-     * `pool` instead of constructing one. Hierarchy
-     * construction is dominated by filling the LLC way array (~100 µs,
-     * mem/hierarchy_pool) — more than a small region's entire
-     * simulation — so reset-heavy drivers (the fuzzer, the suite
-     * runner, benches, nachosd shards) keep a pool alive across
-     * simulate() calls. A pooled acquire is observably identical to fresh
-     * construction (tested); at most one SimCore may use a pool at a
-     * time, and the pool must outlive the core.
+     * Bind a run of `region` under `backend`. The memory hierarchy
+     * comes from `pool`: hierarchy construction is dominated by filling
+     * the LLC way array (~100 µs, mem/hierarchy_pool) — more than a
+     * small region's entire simulation — so reset-heavy drivers (the
+     * fuzzer, the suite runner, benches, nachosd shards) keep a pool
+     * alive across simulate() calls. The event queue, wave buffer, op
+     * state, operand arena and firing tables live in storage private
+     * to the calling thread and are reused from run to run, so a warm
+     * run allocates nothing per invocation. Both are observably
+     * identical to fresh construction (tested). At most one SimCore
+     * may be live per thread (asserted) and per pool, and the pool
+     * must outlive the core.
      */
     SimCore(const Region &region, const MdeSet &mdes,
             OrderingBackend &backend, const SimConfig &cfg,
             HierarchyPool &pool);
+
+    SimCore(const SimCore &) = delete;
+    SimCore &operator=(const SimCore &) = delete;
 
     /** Run all invocations; returns the aggregated result. */
     SimResult run();
@@ -304,6 +308,16 @@ class SimCore final : public BackendCore
         uint64_t addr = 0;
     };
 
+    /** The calling thread's reusable engine storage (simulator.cc). */
+    struct Engine;
+    /** Hands a claimed Engine back to its thread (does not free it). */
+    struct EngineRelease
+    {
+        void operator()(Engine *engine) const;
+    };
+    /** This thread's Engine, marked held and rewound for a new run. */
+    static Engine *claimThreadEngine();
+
     const Region &region_;
     const MdeSet &mdes_;
     OrderingBackend &backend_;
@@ -311,22 +325,23 @@ class SimCore final : public BackendCore
     StatSet stats_;
     Placement placement_;
     OperandNetwork network_;
-    /** Owned hierarchy (unpooled construction); null when pooled. */
-    std::unique_ptr<MemoryHierarchy> ownedHierarchy_;
-    /** The run's memory hierarchy — owned or a pool slot. */
+    /** The run's memory hierarchy (a pool slot). */
     MemoryHierarchy &hierarchy_;
     EnergyModel energyModel_;
 
-    CalendarQueue<SimEvent> events_;
+    // The thread's Engine, held until the core is destroyed (also when
+    // construction throws), and views into it.
+    std::unique_ptr<Engine, EngineRelease> engine_;
+    CalendarQueue<SimEvent> &events_;
     uint64_t now_ = 0;
     /** Current wave's events (drained, then canonically sorted). */
-    std::vector<SimEvent> waveBuf_;
+    std::vector<SimEvent> &waveBuf_;
 
-    std::vector<OpState> states_;
+    std::vector<OpState> &states_;
     /** Operand-value arena: op's slots at tables_.inputOffset[op]. */
-    std::vector<int64_t> inputArena_;
+    std::vector<int64_t> &inputArena_;
     /** Static firing tables (cgra/sim_tables). */
-    SimTables tables_;
+    SimTables &tables_;
     Counter *netTransfers_ = nullptr;
     Counter *netHops_ = nullptr;
     Counter *mdeMust_ = nullptr;
@@ -384,14 +399,17 @@ class SimCore final : public BackendCore
     int64_t liveInValue(OpId op) const;
 };
 
-/** Build the backend for `kind` and simulate the region under it. */
+/**
+ * Build the backend for `kind` and simulate the region under it, with
+ * a memory hierarchy built for this call alone.
+ */
 SimResult simulate(const Region &region, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg);
 
 /**
  * Pooled variant: reuse `pool`'s memory hierarchy (see the SimCore
- * pooled constructor). Results are identical to the unpooled
- * overload; only the construction cost differs.
+ * constructor). Results are identical to the overload above; only the
+ * construction cost differs.
  */
 SimResult simulate(const Region &region, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg,

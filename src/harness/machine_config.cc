@@ -45,30 +45,6 @@ MachineOverrides::applyTo(SimConfig &sim) const
         sim.nachosComparesPerCycle = nachosComparesPerCycle;
 }
 
-uint64_t
-machineConfigHash(const MachineOverrides &m)
-{
-    uint64_t h = 1469598103934665603ull; // FNV-1a 64 offset basis
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(m.lsqBanks);
-    mix(m.lsqPortsPerBank);
-    mix(m.l1SizeBytes);
-    mix(m.l1Assoc);
-    mix(m.l1LineBytes);
-    mix(m.l1Ports);
-    mix(m.llcSizeBytes);
-    mix(m.dramLatency);
-    mix(m.dramRequestsPerCycle);
-    mix(m.netHopsPerCycle);
-    mix(m.nachosComparesPerCycle);
-    return h;
-}
-
 const char *
 validateMachineOverrides(const MachineOverrides &m)
 {

@@ -50,12 +50,6 @@ struct MachineOverrides
 };
 
 /**
- * Order-stable FNV-1a hash over the override fields. Equal overrides
- * hash equal; the all-default overrides hash to the FNV offset basis.
- */
-uint64_t machineConfigHash(const MachineOverrides &m);
-
-/**
  * Validate overrides against the machine model's constraints: all set
  * fields positive and within their caps, line sizes powers of two, and
  * the *effective* cache geometries (overrides merged onto defaults)

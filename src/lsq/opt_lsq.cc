@@ -62,9 +62,9 @@ OptLsq::overlaps(const Entry &a, const Entry &b) const
     return a.addr < b.addr + b.size && b.addr < a.addr + a.size;
 }
 
-std::vector<std::pair<uint32_t, uint64_t>>
+void
 OptLsq::addressReady(uint32_t m, bool is_store, uint64_t addr,
-                     uint32_t size, uint64_t cycle)
+                     uint32_t size, uint64_t cycle, Grants &allocated)
 {
     NACHOS_ASSERT(m < entries_.size(), "memIndex out of range");
     Entry &e = entries_[m];
@@ -80,7 +80,7 @@ OptLsq::addressReady(uint32_t m, bool is_store, uint64_t addr,
     // op m-1's slot (same cycle is fine — ports permitting); the
     // allocLatency pipeline stage applies to each op independently and
     // must not chain, or allocation would serialize to one per cycle.
-    std::vector<std::pair<uint32_t, uint64_t>> allocated;
+    allocated.clear();
     while (nextToAlloc_ < entries_.size() &&
            entries_[nextToAlloc_].seen) {
         Entry &a = entries_[nextToAlloc_];
@@ -107,7 +107,6 @@ OptLsq::addressReady(uint32_t m, bool is_store, uint64_t addr,
         allocated.emplace_back(nextToAlloc_, granted);
         ++nextToAlloc_;
     }
-    return allocated;
 }
 
 LoadSearchResult
@@ -178,8 +177,8 @@ OptLsq::loadWaitStatus(uint32_t m) const
     return st;
 }
 
-std::vector<std::pair<uint32_t, uint64_t>>
-OptLsq::storeDataArrived(uint32_t m, uint64_t cycle)
+void
+OptLsq::storeDataArrived(uint32_t m, uint64_t cycle, Grants &committed)
 {
     Entry &e = entries_[m];
     NACHOS_ASSERT(e.seen && e.isStore,
@@ -223,7 +222,7 @@ OptLsq::storeDataArrived(uint32_t m, uint64_t cycle)
         }
     }
     noteCommitCandidate(m);
-    return resumeCommits();
+    resumeCommits(committed);
 }
 
 void
@@ -270,8 +269,8 @@ OptLsq::noteCommitCandidate(uint32_t m)
         commitCandidates_.push_back(m);
 }
 
-std::vector<std::pair<uint32_t, uint64_t>>
-OptLsq::resumeCommits()
+void
+OptLsq::resumeCommits(Grants &committed)
 {
     // Address-partitioned in-order commit (Sethumadhavan et al. [34]):
     // a store writes the cache only after every older store IN ITS
@@ -285,12 +284,8 @@ OptLsq::resumeCommits()
     // store can unblock only its (younger) bank successor, and the
     // heap keeps the emitted order ascending in memIndex — the same
     // order the previous full-rescan implementation produced.
-    std::vector<std::pair<uint32_t, uint64_t>> committed;
-    if (commitCandidates_.empty())
-        return committed;
-
-    std::vector<uint32_t> heap = std::move(commitCandidates_);
-    commitCandidates_.clear();
+    committed.clear();
+    std::vector<uint32_t> &heap = commitCandidates_;
     std::make_heap(heap.begin(), heap.end(), std::greater<>{});
     while (!heap.empty()) {
         std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -349,7 +344,6 @@ OptLsq::resumeCommits()
             }
         }
     }
-    return committed;
 }
 
 void

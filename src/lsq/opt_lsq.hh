@@ -95,19 +95,28 @@ struct LoadWaitStatus
 class OptLsq
 {
   public:
+    /** (memIndex, cycle): an allocation or commit that completed. */
+    using Grant = std::pair<uint32_t, uint64_t>;
+    /**
+     * Caller-owned result buffer: every call that reports grants
+     * clears it and fills it, so a caller reusing one buffer
+     * allocates nothing once its capacity has grown.
+     */
+    using Grants = std::vector<Grant>;
+
     OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, StatSet &stats);
 
     /** Begin a fresh invocation. */
     void reset();
 
     /**
-     * Record that op `m`'s address is resolved at `cycle`. Returns the
-     * list of ops whose allocation completed as a result (allocation
-     * cascades in program order), with their allocation-done cycles.
+     * Record that op `m`'s address is resolved at `cycle`. Fills
+     * `allocated` with the ops whose allocation completed as a result
+     * (allocation cascades in program order), with their
+     * allocation-done cycles.
      */
-    std::vector<std::pair<uint32_t, uint64_t>>
-    addressReady(uint32_t m, bool is_store, uint64_t addr, uint32_t size,
-                 uint64_t cycle);
+    void addressReady(uint32_t m, bool is_store, uint64_t addr,
+                      uint32_t size, uint64_t cycle, Grants &allocated);
 
     /**
      * Load search at `cycle` (must be >= its allocation cycle).
@@ -131,12 +140,11 @@ class OptLsq
     /**
      * Record that store `m` is ready to commit (allocated AND data
      * present) at `cycle`. Stores commit strictly in program order,
-     * so this may unblock a cascade of younger stores; returns every
-     * newly committed store with its commit cycle (bank port
-     * arbitration applied).
+     * so this may unblock a cascade of younger stores; fills
+     * `committed` with every newly committed store and its commit
+     * cycle (bank port arbitration applied).
      */
-    std::vector<std::pair<uint32_t, uint64_t>>
-    storeDataArrived(uint32_t m, uint64_t cycle);
+    void storeDataArrived(uint32_t m, uint64_t cycle, Grants &committed);
 
     /**
      * Record when load `m` issues its cache read (anti-dependence:
@@ -150,9 +158,9 @@ class OptLsq
 
     /**
      * Re-run the in-order commit cascade after new information
-     * (load performs). Returns newly committed stores.
+     * (load performs). Fills `committed` with newly committed stores.
      */
-    std::vector<std::pair<uint32_t, uint64_t>> resumeCommits();
+    void resumeCommits(Grants &committed);
 
     /**
      * Store's cache write finished: the entry drains, leaving the
@@ -243,7 +251,8 @@ class OptLsq
      * watching its commit. */
     std::vector<std::vector<uint32_t>> storeWatchers_;
     /** Stores that may have become committable since the last
-     * resumeCommits() (re-verified before committing). */
+     * resumeCommits() (re-verified before committing). resumeCommits()
+     * runs its min-heap in this buffer, so its capacity is reused. */
     std::vector<uint32_t> commitCandidates_;
     BloomFilter bloom_;
     uint32_t nextToAlloc_ = 0;

@@ -94,17 +94,18 @@ class CalendarQueue
     }
 
     /**
-     * Drain every event currently enqueued for the earliest pending
-     * cycle into `out` (which must be empty) in FIFO order, and
-     * advance now() to that cycle. The bucket's storage is swapped
-     * into `out` — no per-event copy — leaving the slot empty, so
-     * events the caller schedules for that same cycle while
-     * processing the wave start a fresh bucket and the next drainWave
-     * at the same now() returns exactly the new batch. The caller's
-     * buffer and the ring slot ping-pong their capacity, so steady
-     * state allocates nothing. Must not be mixed with pop() within
-     * one drain (pop leaves a partially-consumed bucket behind) and
-     * must not be called on an empty queue.
+     * Replace `out`'s contents with every event currently enqueued for
+     * the earliest pending cycle, in FIFO order, and advance now() to
+     * that cycle. The events are copied out and the slot is emptied,
+     * so events the caller schedules for that same cycle while
+     * processing the wave start a fresh batch and the next drainWave
+     * at the same now() returns exactly that batch. Each slot keeps
+     * its own storage (a swap would let capacity migrate from slot to
+     * slot), so a queue reused across runs of the same schedule
+     * allocates nothing once every slot it touches has grown. Must
+     * not be mixed with pop() within one drain (pop leaves a
+     * partially-consumed bucket behind) and must not be called on an
+     * empty queue.
      */
     uint64_t
     drainWave(std::vector<Event> &out)
@@ -114,7 +115,8 @@ class CalendarQueue
         for (;;) {
             std::vector<Event> &bucket = ring_[now_ & (BucketCount - 1)];
             if (!bucket.empty()) {
-                bucket.swap(out);
+                out.assign(bucket.begin(), bucket.end());
+                bucket.clear();
                 size_ -= out.size();
                 clearOccupied(now_ & (BucketCount - 1));
                 return now_;
@@ -122,6 +124,35 @@ class CalendarQueue
             advance();
         }
     }
+
+    /**
+     * Rewind to cycle 0 for a new run, discarding any pending events,
+     * while keeping bucket capacity so a reused queue schedules without
+     * allocating. A bucket grown past kRetainedBucketEvents is freed
+     * instead, so the ring retains at most BucketCount times that many
+     * events however large a past run's waves were: most waves hold a
+     * few events, and large ones must not pin memory for the rest of
+     * the queue's life.
+     */
+    void
+    reset()
+    {
+        for (std::vector<Event> &bucket : ring_) {
+            if (bucket.capacity() > kRetainedBucketEvents)
+                std::vector<Event>().swap(bucket);
+            else
+                bucket.clear();
+        }
+        occupied_.fill(0);
+        overflow_.clear();
+        now_ = 0;
+        seq_ = 0;
+        size_ = 0;
+        cursor_ = 0;
+    }
+
+    /** Largest bucket capacity (in events) reset() keeps. */
+    static constexpr size_t kRetainedBucketEvents = 4;
 
   private:
     struct OverflowEntry

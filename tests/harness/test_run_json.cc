@@ -412,21 +412,5 @@ TEST(MachineOverrides, RequestRoundTripsWithMachine)
               dumpJson(encodeRunRequest(spec)));
 }
 
-TEST(MachineOverrides, HashSeparatesConfigs)
-{
-    MachineOverrides a, b;
-    EXPECT_EQ(machineConfigHash(a), machineConfigHash(b));
-    b.lsqBanks = 1;
-    EXPECT_NE(machineConfigHash(a), machineConfigHash(b));
-    a.lsqBanks = 1;
-    EXPECT_EQ(machineConfigHash(a), machineConfigHash(b));
-    // Different fields with equal values must not collide (the hash
-    // mixes position, not just value).
-    MachineOverrides c, d;
-    c.lsqBanks = 4;
-    d.lsqPortsPerBank = 4;
-    EXPECT_NE(machineConfigHash(c), machineConfigHash(d));
-}
-
 } // namespace
 } // namespace nachos

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "support/alloc_hook.hh"
 #include "support/event_queue.hh"
 #include "support/random.hh"
 
@@ -211,27 +212,31 @@ TEST(CalendarQueue, DrainWaveSameCycleReschedulesFormTheNextWave)
     EXPECT_EQ(wave[1].tag, 2u);
 }
 
-TEST(CalendarQueue, DrainWavePingPongsCapacityWithTheCaller)
+TEST(CalendarQueue, DrainWaveKeepsEachSlotsCapacity)
 {
-    // Steady state allocates nothing: the bucket's storage is swapped
-    // into the caller's buffer and handed back on the next schedule to
-    // that slot. Observable contract: the drained wave reuses capacity
-    // at least as large as the previous wave when the caller returns
-    // the buffer cleared (not shrunk).
+    // Steady state allocates nothing: drainWave copies the events out
+    // and leaves the slot's storage in place, so the next lap of the
+    // ring refills it, and the caller's cleared buffer takes the next
+    // wave of the same size.
     Queue q;
     for (uint32_t i = 0; i < 32; ++i)
         q.schedule(1, {i});
     std::vector<Ev> wave;
     EXPECT_EQ(q.drainWave(wave), 1u);
     ASSERT_EQ(wave.size(), 32u);
-    const size_t cap = wave.capacity();
+    // Move the clock half a lap on, so cycle 65 is inside the ring.
+    q.schedule(33, {0});
+    wave.clear();
+    EXPECT_EQ(q.drainWave(wave), 33u);
 
+    const uint64_t before = threadAllocCount();
     wave.clear();
     for (uint32_t i = 0; i < 32; ++i)
-        q.schedule(2, {i});
-    EXPECT_EQ(q.drainWave(wave), 2u);
+        q.schedule(65, {i}); // slot 1 again, one lap later
+    EXPECT_EQ(q.drainWave(wave), 65u);
     ASSERT_EQ(wave.size(), 32u);
-    EXPECT_GE(wave.capacity() + cap, 64u); // one side kept the storage
+    EXPECT_EQ(wave[31].tag, 31u);
+    EXPECT_EQ(threadAllocCount() - before, 0u);
 }
 
 TEST(CalendarQueue, DrainWaveMatchesPopOnRandomSchedules)
@@ -262,6 +267,47 @@ TEST(CalendarQueue, DrainWaveMatchesPopOnRandomSchedules)
         }
         ASSERT_EQ(waved, popped) << "round " << round;
     }
+}
+
+TEST(CalendarQueue, ResetRewindsTheClockAndDiscardsPendingEvents)
+{
+    Queue q;
+    q.schedule(5, {1});
+    q.schedule(500, {2}); // beyond the 64-cycle ring: overflow heap
+    std::vector<Ev> wave;
+    EXPECT_EQ(q.drainWave(wave), 5u);
+    ASSERT_FALSE(q.empty());
+
+    q.reset();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.now(), 0u);
+    // Cycle 0 is schedulable again and nothing from before comes back.
+    q.schedule(0, {3});
+    q.schedule(7, {4});
+    EXPECT_EQ(drain(q), (std::vector<std::pair<uint64_t, uint32_t>>{
+                            {0, 3}, {7, 4}}));
+}
+
+TEST(CalendarQueue, ResetKeepsSmallBucketsAndFreesLargeOnes)
+{
+    using Q = CalendarQueue<Ev, 64>;
+    Q q;
+    for (uint32_t i = 0; i < 4; ++i)
+        q.schedule(1, {i});
+    for (uint32_t i = 0; i < 4 * Q::kRetainedBucketEvents; ++i)
+        q.schedule(2, {i});
+    q.reset();
+
+    // The small bucket's storage survives: refilling it is free.
+    uint64_t before = threadAllocCount();
+    for (uint32_t i = 0; i < 4; ++i)
+        q.schedule(1, {i});
+    EXPECT_EQ(threadAllocCount() - before, 0u);
+
+    // The oversized bucket was released and must grow again.
+    before = threadAllocCount();
+    q.schedule(2, {0});
+    EXPECT_GT(threadAllocCount() - before, 0u);
 }
 
 TEST(CalendarQueueDeathTest, DrainWaveAfterPartialPopIsFatal)
