@@ -403,9 +403,11 @@ void
 BM_MayStationHighFanIn(benchmark::State &state)
 {
     const uint32_t parents = static_cast<uint32_t>(state.range(0));
+    std::vector<MayCheckStation::ParentState> states(parents);
+    std::vector<uint32_t> pending(parents);
     for (auto _ : state) {
         StatSet stats;
-        MayCheckStation station(parents, stats);
+        MayCheckStation station(states, pending, stats);
         station.ownAddressReady(0x1000, 8, 0);
         for (uint32_t p = 0; p < parents; ++p)
             station.parentAddressArrived(p, 0x2000 + p * 64, 8, 0);

@@ -73,16 +73,16 @@ resolveParamChain(const Region &region, ParamId start)
 
 } // namespace
 
-AddrExpr
-resolveExpr(const Region &region, const AddrExpr &expr,
+ResolvedAddr
+resolveAddr(const Region &region, const AddrExpr &expr,
             bool use_provenance)
 {
+    ResolvedAddr out{expr.base, expr.constOffset, &expr.terms};
     if (!use_provenance || expr.base.kind != BaseKind::Param)
-        return expr;
+        return out;
     auto resolved = resolveParamChain(region, expr.base.id);
     if (!resolved)
-        return expr;
-    AddrExpr out = expr;
+        return out;
     out.base = {BaseKind::Object, resolved->first};
     out.constOffset += resolved->second;
     return out;
@@ -135,12 +135,18 @@ classifyDiff(const Region &region, int64_t base_object,
     return PairRelation::MustPartial;
 }
 
+namespace {
+
+/**
+ * classifyPair over addresses already resolved for `opts`; a same-base
+ * difference is taken into `diff`.
+ */
 PairRelation
-classifyPair(const Region &region, OpId a, OpId b,
-             const ClassifyOptions &opts)
+classifyResolved(const Region &region, const Operation &oa,
+                 const Operation &ob, const ResolvedAddr &ea,
+                 const ResolvedAddr &eb, const ClassifyOptions &opts,
+                 AddrDiff &diff)
 {
-    const Operation &oa = region.op(a);
-    const Operation &ob = region.op(b);
     NACHOS_ASSERT(oa.isMem() && ob.isMem() &&
                       oa.mem->disambiguated() && ob.mem->disambiguated(),
                   "classifyPair needs disambiguated memory ops");
@@ -151,9 +157,6 @@ classifyPair(const Region &region, OpId a, OpId b,
         oa.dtype != DataType::Ptr && ob.dtype != DataType::Ptr) {
         return PairRelation::No;
     }
-
-    AddrExpr ea = resolveExpr(region, oa.mem->addr, opts.useProvenance);
-    AddrExpr eb = resolveExpr(region, ob.mem->addr, opts.useProvenance);
 
     // A restrict-qualified param is asserted disjoint from every
     // OTHER base (accesses through the same param still compare).
@@ -172,8 +175,10 @@ classifyPair(const Region &region, OpId a, OpId b,
         int64_t base_obj = ea.base.kind == BaseKind::Object
                                ? static_cast<int64_t>(ea.base.id)
                                : -1;
-        return classifyDiff(region, base_obj, subtractExprs(ea, eb),
-                            oa.mem->accessSize, ob.mem->accessSize, opts);
+        diff.constDiff = ea.constOffset - eb.constOffset;
+        subtractTerms(*ea.terms, *eb.terms, diff.terms);
+        return classifyDiff(region, base_obj, diff, oa.mem->accessSize,
+                            ob.mem->accessSize, opts);
     }
 
     // Distinct known allocations never overlap.
@@ -197,19 +202,55 @@ classifyPair(const Region &region, OpId a, OpId b,
     return PairRelation::May;
 }
 
+} // namespace
+
+PairRelation
+classifyPair(const Region &region, OpId a, OpId b,
+             const ClassifyOptions &opts)
+{
+    const Operation &oa = region.op(a);
+    const Operation &ob = region.op(b);
+    NACHOS_ASSERT(oa.isMem() && ob.isMem(),
+                  "classifyPair needs disambiguated memory ops");
+    AddrDiff diff;
+    return classifyResolved(
+        region, oa, ob,
+        resolveAddr(region, oa.mem->addr, opts.useProvenance),
+        resolveAddr(region, ob.mem->addr, opts.useProvenance), opts,
+        diff);
+}
+
+PairClassifier::PairClassifier(const Region &region,
+                               const AliasMatrix &matrix,
+                               const ClassifyOptions &opts)
+    : region_(region), matrix_(matrix), opts_(opts)
+{
+    resolved_.reserve(matrix.numMemOps());
+    for (uint32_t i = 0; i < matrix.numMemOps(); ++i) {
+        resolved_.push_back(resolveAddr(
+            region, region.op(matrix.opOf(i)).mem->addr,
+            opts.useProvenance));
+    }
+}
+
+PairRelation
+PairClassifier::classify(uint32_t i, uint32_t j)
+{
+    return classifyResolved(region_, region_.op(matrix_.opOf(i)),
+                            region_.op(matrix_.opOf(j)), resolved_[i],
+                            resolved_[j], opts_, diff_);
+}
+
 AliasMatrix
 runStage1(const Region &region)
 {
     AliasMatrix matrix(region);
     const size_t n = matrix.numMemOps();
-    ClassifyOptions opts; // function-local info only
+    PairClassifier classifier(region, matrix,
+                              ClassifyOptions{}); // function-local only
     for (uint32_t i = 0; i < n; ++i) {
-        for (uint32_t j = i + 1; j < n; ++j) {
-            matrix.setRelation(
-                i, j,
-                classifyPair(region, matrix.opOf(i), matrix.opOf(j),
-                             opts));
-        }
+        for (uint32_t j = i + 1; j < n; ++j)
+            matrix.setRelation(i, j, classifier.classify(i, j));
     }
     return matrix;
 }

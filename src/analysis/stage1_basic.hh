@@ -57,11 +57,47 @@ PairRelation classifyPair(const Region &region, OpId a, OpId b,
                           const ClassifyOptions &opts);
 
 /**
- * Resolve an address expression's base through provenance if requested,
- * returning a possibly-rewritten expression. Used by Stages 2 and 4.
+ * An address expression with its base resolved through provenance:
+ * resolution moves only the base and the constant, so the terms stay
+ * the expression's own (not copied).
  */
-AddrExpr resolveExpr(const Region &region, const AddrExpr &expr,
-                     bool use_provenance);
+struct ResolvedAddr
+{
+    BaseRef base;
+    int64_t constOffset = 0;
+    const std::vector<AffineTerm> *terms = nullptr;
+};
+
+/**
+ * Resolve an address expression's base through provenance if
+ * requested. Used by Stages 2 and 4.
+ */
+ResolvedAddr resolveAddr(const Region &region, const AddrExpr &expr,
+                         bool use_provenance);
+
+/**
+ * One alias pass's pair classifier over an AliasMatrix's memory ops:
+ * each op's address is resolved once up front, and same-base
+ * differences are taken into one reused buffer, so classifying a pair
+ * copies no expression and, once warm, allocates nothing. Results
+ * equal classifyPair's.
+ */
+class PairClassifier
+{
+  public:
+    PairClassifier(const Region &region, const AliasMatrix &matrix,
+                   const ClassifyOptions &opts);
+
+    /** classifyPair of the matrix's memory ops i and j. */
+    PairRelation classify(uint32_t i, uint32_t j);
+
+  private:
+    const Region &region_;
+    const AliasMatrix &matrix_;
+    ClassifyOptions opts_;
+    std::vector<ResolvedAddr> resolved_; ///< per matrix index
+    AddrDiff diff_;                  ///< reused difference buffer
+};
 
 /**
  * Run Stage 1 over a region: classify every memory-op pair with

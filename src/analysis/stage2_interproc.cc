@@ -12,13 +12,13 @@ runStage2(const Region &region, AliasMatrix &matrix)
     ClassifyOptions opts;
     opts.useProvenance = true;
 
+    PairClassifier classifier(region, matrix, opts);
     for (uint32_t i = 0; i < n; ++i) {
         for (uint32_t j = i + 1; j < n; ++j) {
             if (matrix.relation(i, j) != PairRelation::May)
                 continue;
             ++stats.examined;
-            PairRelation refined = classifyPair(
-                region, matrix.opOf(i), matrix.opOf(j), opts);
+            PairRelation refined = classifier.classify(i, j);
             if (refined == matrix.relation(i, j))
                 continue;
             matrix.setRelation(i, j, refined);

@@ -14,13 +14,13 @@ runStage4(const Region &region, AliasMatrix &matrix,
     opts.useProvenance = use_provenance;
     opts.useShapes = true;
 
+    PairClassifier classifier(region, matrix, opts);
     for (uint32_t i = 0; i < n; ++i) {
         for (uint32_t j = i + 1; j < n; ++j) {
             if (matrix.relation(i, j) != PairRelation::May)
                 continue;
             ++stats.examined;
-            PairRelation refined = classifyPair(
-                region, matrix.opOf(i), matrix.opOf(j), opts);
+            PairRelation refined = classifier.classify(i, j);
             if (refined == PairRelation::May)
                 continue;
             matrix.setRelation(i, j, refined);

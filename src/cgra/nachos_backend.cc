@@ -11,25 +11,44 @@ NachosBackend::NachosBackend(const Region &region, const MdeSet &mdes,
       comparesPerCycle_(compares_per_cycle),
       runtimeForwarding_(runtime_forwarding)
 {
-    stationOf_.assign(region.numOps(), -1);
-    mayTargets_.assign(region.numOps(), {});
-
+    const size_t n = region.numOps();
+    stationOf_.assign(n, -1);
+    // Counts first (at op + 1), so the prefix sum gives each op's start.
+    mayTargetOffset_.assign(n + 1, 0);
+    stationParents_.reserve(mdes.counts().may);
     for (OpId op : region.memOps()) {
-        std::vector<OpId> parents;
+        const uint32_t begin =
+            static_cast<uint32_t>(stationParents_.size());
         for (uint32_t idx : mdes.incoming(op)) {
             const Mde &e = mdes.edge(idx);
-            if (e.kind == MdeKind::May)
-                parents.push_back(e.older);
+            if (e.kind != MdeKind::May)
+                continue;
+            stationParents_.push_back(e.older);
+            ++mayTargetOffset_[e.older + 1];
         }
-        if (parents.empty())
+        const uint32_t count =
+            static_cast<uint32_t>(stationParents_.size()) - begin;
+        if (count == 0)
             continue;
-        const uint32_t station =
-            static_cast<uint32_t>(stationInfo_.size());
-        stationOf_[op] = static_cast<int32_t>(station);
-        for (uint32_t slot = 0; slot < parents.size(); ++slot)
-            mayTargets_[parents[slot]].push_back({station, slot});
-        stationInfo_.push_back({op, std::move(parents)});
+        stationOf_[op] = static_cast<int32_t>(stationInfo_.size());
+        stationInfo_.push_back({op, begin, count});
     }
+    for (size_t i = 0; i < n; ++i)
+        mayTargetOffset_[i + 1] += mayTargetOffset_[i];
+
+    // Fill in station order, so each parent lists its targets by
+    // station, then slot; the offsets serve as cursors meanwhile.
+    mayTargets_.resize(stationParents_.size());
+    for (uint32_t s = 0; s < stationInfo_.size(); ++s) {
+        const StationInfo &info = stationInfo_[s];
+        for (uint32_t slot = 0; slot < info.numParents; ++slot) {
+            const OpId parent = stationParents_[info.parentBegin + slot];
+            mayTargets_[mayTargetOffset_[parent]++] = {s, slot};
+        }
+    }
+    for (size_t i = n; i > 0; --i)
+        mayTargetOffset_[i] = mayTargetOffset_[i - 1];
+    mayTargetOffset_[0] = 0;
 }
 
 void
@@ -39,15 +58,21 @@ NachosBackend::beginInvocation(uint64_t inv)
     if (runtimeForwarding_ && !runtimeForwards_)
         runtimeForwards_ =
             &core_->stats().counter("nachos.runtimeForwards");
-    if (stations_.empty()) {
+    if (stations_.empty() && !stationInfo_.empty()) {
+        parentStates_.resize(stationParents_.size());
+        pendingCompares_.resize(stationParents_.size());
+        stations_.reserve(stationInfo_.size());
         for (const StationInfo &info : stationInfo_) {
-            stations_.push_back(std::make_unique<MayCheckStation>(
-                static_cast<uint32_t>(info.parents.size()),
-                core_->stats(), comparesPerCycle_));
+            stations_.emplace_back(
+                std::span(parentStates_)
+                    .subspan(info.parentBegin, info.numParents),
+                std::span(pendingCompares_)
+                    .subspan(info.parentBegin, info.numParents),
+                core_->stats(), comparesPerCycle_);
         }
     } else {
-        for (auto &station : stations_)
-            station->reset();
+        for (MayCheckStation &station : stations_)
+            station.reset();
     }
 }
 
@@ -57,7 +82,7 @@ NachosBackend::memAddrReady(OpId op, uint64_t addr, uint32_t size,
 {
     // Own address reaches this op's guard station.
     if (stationOf_[op] >= 0) {
-        stations_[stationOf_[op]]->ownAddressReady(addr, size, cycle);
+        stations_[stationOf_[op]].ownAddressReady(addr, size, cycle);
         tryIssue(op);
         // Compares may also unblock nothing else: only this op's gate
         // depends on this station.
@@ -66,13 +91,12 @@ NachosBackend::memAddrReady(OpId op, uint64_t addr, uint32_t size,
     // This op's address travels to every station guarding a younger
     // MAY-dependent op (one network transfer + one comparison each:
     // the 500 fJ MAY-edge activations of Figure 3).
-    for (const MayTarget &target : mayTargets_[op]) {
+    for (const MayTarget &target : targetsOf(op)) {
         const StationInfo &info = stationInfo_[target.station];
         const uint64_t arrive =
             cycle + core_->netLatency(op, info.younger);
-        stations_[target.station]->parentAddressArrived(target.slot,
-                                                        addr, size,
-                                                        arrive);
+        stations_[target.station].parentAddressArrived(target.slot, addr,
+                                                       size, arrive);
         tryIssue(info.younger);
     }
 }
@@ -84,7 +108,7 @@ NachosBackend::memFullyReady(OpId op, uint64_t cycle)
     // A store's data becoming available can unblock a runtime forward
     // at a younger station.
     if (runtimeForwarding_ && region_.op(op).isStore()) {
-        for (const MayTarget &target : mayTargets_[op])
+        for (const MayTarget &target : targetsOf(op))
             tryIssue(stationInfo_[target.station].younger);
     }
 }
@@ -93,11 +117,11 @@ void
 NachosBackend::memCompleted(OpId op, uint64_t cycle)
 {
     SwBackend::memCompleted(op, cycle);
-    for (const MayTarget &target : mayTargets_[op]) {
+    for (const MayTarget &target : targetsOf(op)) {
         const StationInfo &info = stationInfo_[target.station];
         const uint64_t arrive =
             cycle + core_->netLatency(op, info.younger);
-        stations_[target.station]->parentCompleted(target.slot, arrive);
+        stations_[target.station].parentCompleted(target.slot, arrive);
         tryIssue(info.younger);
     }
 }
@@ -125,14 +149,15 @@ NachosBackend::tryRuntimeForward(OpId op)
     if (inf.orderTokensExpected > 0)
         return false;
 
-    const MayCheckStation &st = *stations_[stationOf_[op]];
+    const MayCheckStation &st = stations_[stationOf_[op]];
     if (!st.allCompared())
         return false;
-    const auto conflicts = st.conflictingParents();
-    if (conflicts.size() != 1 || !st.exactConflict(conflicts[0]))
+    const std::optional<uint32_t> conflict = st.soleConflict();
+    if (!conflict || !st.exactConflict(*conflict))
         return false;
     const OpId parent =
-        stationInfo_[stationOf_[op]].parents[conflicts[0]];
+        stationParents_[stationInfo_[stationOf_[op]].parentBegin +
+                        *conflict];
     if (!region_.op(parent).isStore())
         return false;
     if (!dyn_[parent].fullyReady)
@@ -158,7 +183,7 @@ NachosBackend::extraGate(OpId op, bool &blocked) const
         blocked = false;
         return 0;
     }
-    const auto clear = stations_[stationOf_[op]]->allClearCycle();
+    const auto clear = stations_[stationOf_[op]].allClearCycle();
     if (!clear) {
         blocked = true;
         return 0;

@@ -10,8 +10,7 @@
 #ifndef NACHOS_CGRA_NACHOS_BACKEND_HH
 #define NACHOS_CGRA_NACHOS_BACKEND_HH
 
-#include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "cgra/sw_backend.hh"
@@ -34,11 +33,15 @@ class NachosBackend : public SwBackend
     void memCompleted(OpId op, uint64_t cycle) override;
 
   private:
-    /** Station shape: younger op -> ordered list of MAY parents. */
+    /**
+     * Station shape: the younger op it guards and its MAY parents, in
+     * order, at stationParents_[parentBegin, parentBegin + numParents).
+     */
     struct StationInfo
     {
         OpId younger = 0;
-        std::vector<OpId> parents;
+        uint32_t parentBegin = 0;
+        uint32_t numParents = 0;
     };
 
     /** Outgoing MAY edge of a parent: (station index, parent slot). */
@@ -49,12 +52,31 @@ class NachosBackend : public SwBackend
     };
 
     std::vector<StationInfo> stationInfo_;
-    std::vector<std::unique_ptr<MayCheckStation>> stations_;
+    std::vector<OpId> stationParents_;
+    /**
+     * The stations, built on the first invocation (their counters
+     * live in the run's StatSet), over one flat parent-state array and
+     * one flat arbiter queue laid out like stationParents_.
+     */
+    std::vector<MayCheckStation> stations_;
+    std::vector<MayCheckStation::ParentState> parentStates_;
+    std::vector<uint32_t> pendingCompares_;
     uint32_t comparesPerCycle_ = 1;
     /** Per-op station index (or -1). */
     std::vector<int32_t> stationOf_;
-    /** Per-op outgoing MAY targets. */
-    std::vector<std::vector<MayTarget>> mayTargets_;
+    /** Per-op outgoing MAY targets: op's at
+     *  mayTargets_[mayTargetOffset_[op], mayTargetOffset_[op + 1]). */
+    std::vector<uint32_t> mayTargetOffset_;
+    std::vector<MayTarget> mayTargets_;
+
+    /** The MAY targets of `op`. */
+    std::span<const MayTarget>
+    targetsOf(OpId op) const
+    {
+        return std::span<const MayTarget>(mayTargets_)
+            .subspan(mayTargetOffset_[op],
+                     mayTargetOffset_[op + 1] - mayTargetOffset_[op]);
+    }
 
     bool runtimeForwarding_ = true;
     /** Resolved on first invocation (hot path: no string building

@@ -9,8 +9,15 @@
 namespace nachos {
 
 Placement::Placement(const Region &region, const GridConfig &grid)
-    : grid_(grid)
 {
+    assign(region, grid);
+}
+
+void
+Placement::assign(const Region &region, const GridConfig &grid)
+{
+    grid_ = grid;
+    depth_ = 0;
     const size_t n = region.numOps();
     levels_.assign(n, 0);
     for (const auto &o : region.ops()) {

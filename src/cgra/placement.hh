@@ -25,6 +25,8 @@ struct GridConfig
 {
     uint32_t rows = 32;
     uint32_t cols = 32;
+
+    bool operator==(const GridConfig &) const = default;
 };
 
 /** Grid coordinate of a mapped operation. */
@@ -38,7 +40,11 @@ struct Coord
 class Placement
 {
   public:
+    Placement() = default;
     Placement(const Region &region, const GridConfig &grid = {});
+
+    /** Place `region` on `grid` afresh, reusing this object's storage. */
+    void assign(const Region &region, const GridConfig &grid);
 
     Coord coordOf(OpId op) const;
 

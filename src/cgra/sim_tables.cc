@@ -4,7 +4,7 @@ namespace nachos {
 
 void
 SimTables::build(const Region &region, const Placement &placement,
-                 const OperandNetwork &net)
+                 const NetworkConfig &net)
 {
     const size_t n = region.numOps();
 
@@ -48,10 +48,11 @@ SimTables::build(const Region &region, const Placement &placement,
             for (uint32_t slot = 0; slot < u.operands.size(); ++slot) {
                 if (u.operands[slot] != o.id)
                     continue;
+                const uint32_t hops = placement.hops(o.id, user);
                 fanoutEdges.push_back(
                     {user, static_cast<uint16_t>(slot),
-                     static_cast<uint16_t>(placement.hops(o.id, user)),
-                     static_cast<uint32_t>(net.latency(o.id, user))});
+                     static_cast<uint16_t>(hops),
+                     static_cast<uint32_t>(networkLatency(hops, net))});
                 ++fanoutOffset[o.id + 1];
             }
         }

@@ -53,7 +53,7 @@ struct SimTables
     std::vector<uint32_t> fanoutOffset; ///< numOps + 1
 
     void build(const Region &region, const Placement &placement,
-               const OperandNetwork &net);
+               const NetworkConfig &net);
 
     uint32_t
     numInputs(OpId op) const

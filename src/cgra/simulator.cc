@@ -43,7 +43,8 @@ OrderingBackend::onForwardValue(OpId op, uint64_t cycle, int64_t value)
  * thread, so concurrent runs (runSuite, runFuzz threads, nachosd
  * shards) never share it. Every member is sized or rewound at the
  * start of each run; capacity carries over, which is what keeps a
- * warm run from allocating per invocation.
+ * warm run from allocating per invocation. The static tables are not
+ * here: they belong to the CompiledRegion, which runs share.
  */
 struct SimCore::Engine
 {
@@ -51,7 +52,6 @@ struct SimCore::Engine
     std::vector<SimEvent> waveBuf;
     std::vector<OpState> states;
     std::vector<int64_t> inputArena;
-    SimTables tables;
     /** A live SimCore on this thread is bound to this storage. */
     bool held = false;
 };
@@ -73,28 +73,49 @@ SimCore::EngineRelease::operator()(Engine *engine) const
     engine->held = false;
 }
 
-SimCore::SimCore(const Region &region, const MdeSet &mdes,
+namespace {
+
+/** `compiled`, after checking it was compiled for `cfg`'s machine. */
+const CompiledRegion &
+compiledFor(const CompiledRegion &compiled, const SimConfig &cfg)
+{
+    if (!(compiled.grid() == cfg.grid) || !(compiled.net() == cfg.net)) {
+        NACHOS_FATAL("region '", compiled.region().name(),
+                     "' was compiled for a ", compiled.grid().rows, "x",
+                     compiled.grid().cols, " grid at ",
+                     compiled.net().hopsPerCycle, " hops/cycle (min ",
+                     compiled.net().minLatency,
+                     "), but the run asks for ", cfg.grid.rows, "x",
+                     cfg.grid.cols, " at ", cfg.net.hopsPerCycle,
+                     " hops/cycle (min ", cfg.net.minLatency, ")");
+    }
+    return compiled;
+}
+
+} // namespace
+
+SimCore::SimCore(const CompiledRegion &compiled, const MdeSet &mdes,
                  OrderingBackend &backend, const SimConfig &cfg,
                  HierarchyPool &pool)
-    : region_(region), mdes_(mdes), backend_(backend), cfg_(cfg),
-      placement_(region, cfg.grid), network_(placement_, cfg.net, stats_),
+    : compiled_(compiledFor(compiled, cfg)), region_(compiled.region()),
+      mdes_(mdes), backend_(backend), cfg_(cfg),
       hierarchy_(pool.acquire(cfg.mem, stats_)),
       energyModel_(cfg.energy), engine_(claimThreadEngine()),
       events_(engine_->events), waveBuf_(engine_->waveBuf),
       states_(engine_->states), inputArena_(engine_->inputArena),
-      tables_(engine_->tables), trace_(!cfg.traceFile.empty())
+      tables_(compiled.tables()), trace_(!cfg.traceFile.empty())
 {
-    NACHOS_ASSERT(region_.finalized(), "simulate a finalized region");
     backend_.attach(*this);
-    buildStaticTables();
+    bindRun();
 }
 
 void
-SimCore::buildStaticTables()
+SimCore::bindRun()
 {
     states_.resize(region_.numOps());
-    tables_.build(region_, placement_, network_);
     inputArena_.assign(tables_.arenaSize(), 0);
+    if (cfg_.recordMemTrace)
+        memCommits_.reserve(region_.memOps().size() * cfg_.invocations);
 
     netTransfers_ =
         &stats_.counter(energy_events::kNetworkTransfers);
@@ -121,7 +142,7 @@ SimCore::scheduleForwardValue(uint64_t cycle, OpId to, int64_t value)
 uint64_t
 SimCore::netLatency(OpId from, OpId to) const
 {
-    return network_.latency(from, to);
+    return compiled_.latency(from, to);
 }
 
 void
@@ -222,7 +243,7 @@ SimCore::performMemAccess(OpId op, uint64_t cycle)
         trace_.record({std::string(opKindName(o.kind)) + "#" +
                            std::to_string(op),
                        "memory", cycle, done - cycle,
-                       placement_.coordOf(op).row});
+                       compiled_.placement().coordOf(op).row});
     }
     mlpChange(+1, cycle);
     events_.schedule(done, SimEvent{value, op, 0, EvKind::MemDone});
@@ -260,7 +281,7 @@ SimCore::completeLoadForwarded(OpId op, uint64_t cycle, int64_t value)
     }
     if (trace_.enabled()) {
         trace_.record({"forward#" + std::to_string(op), "forward",
-                       cycle, 1, placement_.coordOf(op).row});
+                       cycle, 1, compiled_.placement().coordOf(op).row});
     }
     completeOp(op, cycle, value);
 }
@@ -348,7 +369,7 @@ SimCore::fireOp(OpId op, uint64_t cycle)
         trace_.record({std::string(opKindName(o.kind)) + "#" +
                            std::to_string(op),
                        "compute", cycle, fuLatency(o.kind),
-                       placement_.coordOf(op).row});
+                       compiled_.placement().coordOf(op).row});
     }
     ++planEventsElided_; // the CompleteOp the event engine never sees
     completeAt(op, cycle + fuLatency(o.kind), evalFireValue(op));
@@ -593,7 +614,7 @@ SimCore::run()
     result.stats = std::move(stats_);
     result.loadValueDigest = loadValueDigest_;
     result.criticalOp = criticalOp_;
-    result.memImage = hierarchy_.data().image();
+    result.memImage = hierarchy_.data().snapshot();
     result.memCommits = std::move(memCommits_);
     result.planEventsDispatched = planEventsDispatched_;
     result.planEventsElided = planEventsElided_;
@@ -603,11 +624,12 @@ SimCore::run()
 }
 
 SimResult
-simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
-         const SimConfig &cfg, HierarchyPool &pool)
+simulate(const CompiledRegion &compiled, const MdeSet &mdes,
+         BackendKind kind, const SimConfig &cfg, HierarchyPool &pool)
 {
+    const Region &region = compiled.region();
     const auto run = [&](OrderingBackend &backend) {
-        SimCore core(region, mdes, backend, cfg, pool);
+        SimCore core(compiled, mdes, backend, cfg, pool);
         return core.run();
     };
     switch (kind) {
@@ -626,6 +648,18 @@ simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
       }
     }
     NACHOS_PANIC("unknown backend kind");
+}
+
+SimResult
+simulate(const Region &region, const MdeSet &mdes, BackendKind kind,
+         const SimConfig &cfg, HierarchyPool &pool)
+{
+    // The thread's own compile slot: simulate() never re-enters on a
+    // thread (one live SimCore per thread), so no run is reading it
+    // while it is recompiled, and its capacity carries over.
+    thread_local CompiledRegion compiled;
+    compiled.compile(region, cfg.grid, cfg.net);
+    return simulate(compiled, mdes, kind, cfg, pool);
 }
 
 SimResult

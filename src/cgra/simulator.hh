@@ -46,10 +46,8 @@
 #include <optional>
 #include <vector>
 
+#include "cgra/compiled_region.hh"
 #include "cgra/function_unit.hh"
-#include "cgra/network.hh"
-#include "cgra/placement.hh"
-#include "cgra/sim_tables.hh"
 #include "cgra/trace.hh"
 #include "energy/model.hh"
 #include "ir/dfg.hh"
@@ -120,8 +118,8 @@ struct SimResult
      *  (completion cycle, op id), an order-free rule, so event order
      *  and cascade order report the same op (diagnostics). */
     OpId criticalOp = 0;
-    /** Final functional-memory image (sorted bytes). */
-    std::vector<std::pair<uint64_t, uint8_t>> memImage;
+    /** Final functional-memory image (the run's written bytes). */
+    MemImage memImage;
     /** Commit-ordered memory trace (cfg.recordMemTrace only). */
     std::vector<MemCommit> memCommits;
 
@@ -218,22 +216,28 @@ class SimCore final : public BackendCore
 {
   public:
     /**
-     * Bind a run of `region` under `backend`. The memory hierarchy
-     * comes from `pool`: hierarchy construction is dominated by filling
-     * the LLC way array (~100 µs, mem/hierarchy_pool) — more than a
-     * small region's entire simulation — so reset-heavy drivers (the
-     * fuzzer, the suite runner, benches, nachosd shards) keep a pool
-     * alive across simulate() calls. The event queue, wave buffer, op
-     * state, operand arena and firing tables live in storage private
-     * to the calling thread and are reused from run to run, so a warm
-     * run allocates nothing per invocation. Both are observably
-     * identical to fresh construction (tested). At most one SimCore
-     * may be live per thread (asserted) and per pool, and the pool
-     * must outlive the core.
+     * Bind a run of `compiled`'s region under `backend`. The placement
+     * and firing tables are `compiled`'s, read only, so they are shared
+     * with every other run of the region on the same grid and network;
+     * `cfg.grid` and `cfg.net` must be the ones it was compiled for
+     * (fatal otherwise). The memory hierarchy comes from `pool`:
+     * hierarchy construction is dominated by filling the LLC way array
+     * (~100 µs, mem/hierarchy_pool) — more than a small region's entire
+     * simulation — so reset-heavy callers (the fuzzer, the suite
+     * runner, benches, nachosd shards) keep a pool alive across
+     * simulate() calls. The event queue, wave buffer, op state and
+     * operand arena live in storage private to the calling thread and
+     * are reused from run to run, so a warm run allocates nothing per
+     * invocation. Both are observably identical to fresh construction
+     * (tested). At most one SimCore may be live per thread (asserted)
+     * and per pool, and the pool and `compiled` must outlive the core.
      */
-    SimCore(const Region &region, const MdeSet &mdes,
+    SimCore(const CompiledRegion &compiled, const MdeSet &mdes,
             OrderingBackend &backend, const SimConfig &cfg,
             HierarchyPool &pool);
+    /** A core must not outlive the compiled form it reads. */
+    SimCore(CompiledRegion &&, const MdeSet &, OrderingBackend &,
+            const SimConfig &, HierarchyPool &) = delete;
 
     SimCore(const SimCore &) = delete;
     SimCore &operator=(const SimCore &) = delete;
@@ -318,13 +322,12 @@ class SimCore final : public BackendCore
     /** This thread's Engine, marked held and rewound for a new run. */
     static Engine *claimThreadEngine();
 
+    const CompiledRegion &compiled_;
     const Region &region_;
     const MdeSet &mdes_;
     OrderingBackend &backend_;
     SimConfig cfg_;
     StatSet stats_;
-    Placement placement_;
-    OperandNetwork network_;
     /** The run's memory hierarchy (a pool slot). */
     MemoryHierarchy &hierarchy_;
     EnergyModel energyModel_;
@@ -340,8 +343,8 @@ class SimCore final : public BackendCore
     std::vector<OpState> &states_;
     /** Operand-value arena: op's slots at tables_.inputOffset[op]. */
     std::vector<int64_t> &inputArena_;
-    /** Static firing tables (cgra/sim_tables). */
-    SimTables &tables_;
+    /** Static firing tables (compiled_'s). */
+    const SimTables &tables_;
     Counter *netTransfers_ = nullptr;
     Counter *netHops_ = nullptr;
     Counter *mdeMust_ = nullptr;
@@ -382,7 +385,7 @@ class SimCore final : public BackendCore
     }
     uint32_t numInputs(OpId op) const { return tables_.numInputs(op); }
 
-    void buildStaticTables();
+    void bindRun();
     void dispatch(const SimEvent &ev);
     uint64_t runInvocation(uint64_t inv, uint64_t start_cycle);
     void seedInvocation(uint64_t start_cycle);
@@ -400,20 +403,31 @@ class SimCore final : public BackendCore
 };
 
 /**
- * Build the backend for `kind` and simulate the region under it, with
- * a memory hierarchy built for this call alone.
+ * The engine entry point: build the backend for `kind` and simulate
+ * `compiled`'s region under it, reusing `pool`'s memory hierarchy (see
+ * the SimCore constructor). `cfg.grid` and `cfg.net` must match what
+ * `compiled` was compiled for (fatal otherwise). Callers that run one
+ * region under several backends, LSQ shapes or memory hierarchies
+ * compile it once and call this per lane.
  */
-SimResult simulate(const Region &region, const MdeSet &mdes,
-                   BackendKind kind, const SimConfig &cfg);
+SimResult simulate(const CompiledRegion &compiled, const MdeSet &mdes,
+                   BackendKind kind, const SimConfig &cfg,
+                   HierarchyPool &pool);
 
 /**
- * Pooled variant: reuse `pool`'s memory hierarchy (see the SimCore
- * constructor). Results are identical to the overload above; only the
- * construction cost differs.
+ * Compile `region` for `cfg`'s grid and network into storage the
+ * calling thread reuses, then simulate it as above. Results are
+ * identical to compiling it separately.
  */
 SimResult simulate(const Region &region, const MdeSet &mdes,
                    BackendKind kind, const SimConfig &cfg,
                    HierarchyPool &pool);
+
+/**
+ * As above, with a memory hierarchy built for this call alone.
+ */
+SimResult simulate(const Region &region, const MdeSet &mdes,
+                   BackendKind kind, const SimConfig &cfg);
 
 } // namespace nachos
 

@@ -21,6 +21,11 @@ void
 SwBackend::buildInfo()
 {
     info_.assign(region_.numOps(), {});
+    outEdges_.reserve(mdeSet_.edges().size());
+    const auto isOrder = [this](const Mde &e) {
+        return e.kind == MdeKind::Order ||
+               (e.kind == MdeKind::May && mayIsOrder_);
+    };
     for (OpId op : region_.memOps()) {
         OpInfo &inf = info_[op];
         for (uint32_t idx : mdeSet_.incoming(op)) {
@@ -41,15 +46,17 @@ SwBackend::buildInfo()
                 break;
             }
         }
+        inf.outBegin = static_cast<uint32_t>(outEdges_.size());
         for (uint32_t idx : mdeSet_.outgoing(op)) {
-            const Mde &e = mdeSet_.edge(idx);
-            if (e.kind == MdeKind::Forward)
-                inf.outgoingForward.push_back(idx);
-            else if (e.kind == MdeKind::Order ||
-                     (e.kind == MdeKind::May && mayIsOrder_)) {
-                inf.outgoingOrder.push_back(idx);
-            }
+            if (isOrder(mdeSet_.edge(idx)))
+                outEdges_.push_back(idx);
         }
+        inf.outForward = static_cast<uint32_t>(outEdges_.size());
+        for (uint32_t idx : mdeSet_.outgoing(op)) {
+            if (mdeSet_.edge(idx).kind == MdeKind::Forward)
+                outEdges_.push_back(idx);
+        }
+        inf.outEnd = static_cast<uint32_t>(outEdges_.size());
     }
 }
 
@@ -86,8 +93,9 @@ SwBackend::memFullyReady(OpId op, uint64_t cycle)
     const Operation &o = region_.op(op);
     if (o.isStore()) {
         const int64_t value = core_->storeData(op);
-        for (uint32_t idx : info_[op].outgoingForward) {
-            const Mde &e = mdeSet_.edge(idx);
+        const OpInfo &inf = info_[op];
+        for (uint32_t i = inf.outForward; i < inf.outEnd; ++i) {
+            const Mde &e = mdeSet_.edge(outEdges_[i]);
             const uint64_t arrive =
                 cycle + core_->netLatency(e.older, e.younger);
             core_->countForward(e.older, e.younger);
@@ -100,8 +108,9 @@ SwBackend::memFullyReady(OpId op, uint64_t cycle)
 void
 SwBackend::memCompleted(OpId op, uint64_t cycle)
 {
-    for (uint32_t idx : info_[op].outgoingOrder) {
-        const Mde &e = mdeSet_.edge(idx);
+    const OpInfo &inf = info_[op];
+    for (uint32_t i = inf.outBegin; i < inf.outForward; ++i) {
+        const Mde &e = mdeSet_.edge(outEdges_[i]);
         const uint64_t arrive =
             cycle + core_->netLatency(e.older, e.younger);
         core_->countOrderToken(e.older, e.younger);

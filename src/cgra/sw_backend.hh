@@ -47,14 +47,20 @@ class SwBackend : public OrderingBackend
     void onForwardValue(OpId op, uint64_t cycle, int64_t value) override;
 
   protected:
-    /** Static per-op MDE shape (shared with the NACHOS backend). */
+    /**
+     * Static per-op MDE shape (shared with the NACHOS backend). The
+     * op's outgoing edge indices sit in outEdges_: the ORDER ones (and
+     * MAY here) at [outBegin, outForward), the FORWARD ones at
+     * [outForward, outEnd).
+     */
     struct OpInfo
     {
         uint32_t orderTokensExpected = 0; ///< incoming ORDER(+MAY here)
         bool hasForward = false;
         OpId forwardSource = 0;
-        std::vector<uint32_t> outgoingOrder; ///< edge indices
-        std::vector<uint32_t> outgoingForward;
+        uint32_t outBegin = 0;
+        uint32_t outForward = 0;
+        uint32_t outEnd = 0;
     };
 
     struct OpDyn
@@ -71,6 +77,8 @@ class SwBackend : public OrderingBackend
 
     const MdeSet &mdeSet_;
     std::vector<OpInfo> info_;
+    /** Outgoing edge indices of every op, grouped per op (CSR). */
+    std::vector<uint32_t> outEdges_;
     std::vector<OpDyn> dyn_;
 
     /** Treat MAY edges as ORDER tokens? (true for SW, false for HW.) */

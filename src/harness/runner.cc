@@ -41,16 +41,18 @@ runWorkload(const BenchmarkInfo &info, const RunRequest &request,
 
     const SimConfig sim = simConfigFor(info, request);
     // Worker-thread-local hierarchy pool: suite runs otherwise pay an
-    // LLC-array construction per backend.
+    // LLC-array construction per backend. The backends share one
+    // compiled placement and firing tables.
     thread_local HierarchyPool pool;
+    const CompiledRegion compiled(out.region, sim.grid, sim.net);
     if (request.runLsq)
-        out.lsq = simulate(out.region, out.mdes, BackendKind::OptLsq, sim,
+        out.lsq = simulate(compiled, out.mdes, BackendKind::OptLsq, sim,
                            pool);
     if (request.runSw)
-        out.sw = simulate(out.region, out.mdes, BackendKind::NachosSw, sim,
+        out.sw = simulate(compiled, out.mdes, BackendKind::NachosSw, sim,
                           pool);
     if (request.runNachos)
-        out.nachos = simulate(out.region, out.mdes, BackendKind::Nachos,
+        out.nachos = simulate(compiled, out.mdes, BackendKind::Nachos,
                               sim, pool);
     times.simSeconds = lap();
     return out;

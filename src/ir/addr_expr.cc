@@ -57,27 +57,32 @@ subtractExprs(const AddrExpr &a, const AddrExpr &b)
                   "subtractExprs requires identical bases");
     AddrDiff diff;
     diff.constDiff = a.constOffset - b.constOffset;
+    subtractTerms(a.terms, b.terms, diff.terms);
+    return diff;
+}
 
+void
+subtractTerms(const std::vector<AffineTerm> &a,
+              const std::vector<AffineTerm> &b, std::vector<AffineTerm> &out)
+{
     // Merge the two sorted term lists, subtracting coefficients.
+    out.clear();
     size_t i = 0, j = 0;
-    while (i < a.terms.size() || j < b.terms.size()) {
-        if (j == b.terms.size() ||
-            (i < a.terms.size() && a.terms[i].sym < b.terms[j].sym)) {
-            diff.terms.push_back(a.terms[i]);
+    while (i < a.size() || j < b.size()) {
+        if (j == b.size() || (i < a.size() && a[i].sym < b[j].sym)) {
+            out.push_back(a[i]);
             ++i;
-        } else if (i == a.terms.size() ||
-                   b.terms[j].sym < a.terms[i].sym) {
-            diff.terms.push_back({b.terms[j].sym, -b.terms[j].coeff});
+        } else if (i == a.size() || b[j].sym < a[i].sym) {
+            out.push_back({b[j].sym, -b[j].coeff});
             ++j;
         } else {
-            int64_t c = a.terms[i].coeff - b.terms[j].coeff;
+            int64_t c = a[i].coeff - b[j].coeff;
             if (c != 0)
-                diff.terms.push_back({a.terms[i].sym, c});
+                out.push_back({a[i].sym, c});
             ++i;
             ++j;
         }
     }
-    return diff;
 }
 
 int64_t

@@ -124,6 +124,14 @@ struct AddrDiff
 /** Compute a - b (bases must match; asserted). */
 AddrDiff subtractExprs(const AddrExpr &a, const AddrExpr &b);
 
+/**
+ * The term part of a - b over two canonical term lists, written into
+ * `out` (cleared first, so a reused buffer keeps its capacity).
+ */
+void subtractTerms(const std::vector<AffineTerm> &a,
+                   const std::vector<AffineTerm> &b,
+                   std::vector<AffineTerm> &out);
+
 /** Deterministic opaque-symbol value for an invocation. */
 int64_t opaqueValue(const Symbol &sym, uint64_t invocation);
 

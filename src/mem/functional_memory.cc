@@ -17,6 +17,63 @@ constexpr bool kHostLittleEndian =
 
 } // namespace
 
+MemImage::const_iterator::const_iterator(const MemImage &image,
+                                         size_t byte)
+    : indices_(image.words_.data()),
+      bitmaps_(image.words_.data() + image.numPages()),
+      bytes_(image.bytes_.data()), byte_(byte), size_(image.size())
+{
+    if (byte_ < size_) {
+        bits_ = bitmaps_[0];
+        seekBit();
+    }
+}
+
+void
+MemImage::const_iterator::seekBit()
+{
+    while (bits_ == 0) {
+        if (++word_ == kBitmapWords) {
+            word_ = 0;
+            ++page_;
+        }
+        bits_ = bitmaps_[page_ * kBitmapWords + word_];
+    }
+}
+
+MemImage::value_type
+MemImage::const_iterator::operator*() const
+{
+    const uint64_t offset =
+        uint64_t{word_} * 64 +
+        static_cast<uint64_t>(std::countr_zero(bits_));
+    return {indices_[page_] * kPageBytes + offset, bytes_[byte_]};
+}
+
+MemImage::const_iterator &
+MemImage::const_iterator::operator++()
+{
+    bits_ &= bits_ - 1;
+    // Past the last byte there is no further set bit to seek.
+    if (++byte_ < size_)
+        seekBit();
+    return *this;
+}
+
+bool
+MemImage::operator==(const std::vector<value_type> &pairs) const
+{
+    if (pairs.size() != size())
+        return false;
+    const_iterator it = begin();
+    for (const value_type &p : pairs) {
+        if (*it != p)
+            return false;
+        ++it;
+    }
+    return true;
+}
+
 uint8_t
 FunctionalMemory::backgroundByte(uint64_t addr)
 {
@@ -42,18 +99,23 @@ FunctionalMemory::findPage(uint64_t page_index) const
 FunctionalMemory::Page &
 FunctionalMemory::touchPage(uint64_t page_index)
 {
-    if (page_index == cachedIndex_)
-        return *cachedPage_;
-    std::unique_ptr<Page> &slot = pages_[page_index];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        std::memset(slot->written, 0, sizeof(slot->written));
-        // data[] is left uninitialized on purpose: the bitmap guards
-        // every read, and 4 KiB of memset per cold page would be the
-        // dominant cost for scattered footprints.
+    if (page_index != cachedIndex_) {
+        std::unique_ptr<Page> &slot = pages_[page_index];
+        if (!slot) {
+            slot = std::make_unique<Page>();
+            std::memset(slot->written, 0, sizeof(slot->written));
+            // data[] is left uninitialized on purpose: the bitmap
+            // guards every read, and 4 KiB of memset per cold page
+            // would be the dominant cost for scattered footprints.
+        }
+        cachedIndex_ = page_index;
+        cachedPage_ = slot.get();
     }
-    cachedIndex_ = page_index;
-    cachedPage_ = slot.get();
+    // Every touch writes at least one byte: list the page once.
+    if (!cachedPage_->listed) {
+        cachedPage_->listed = true;
+        writtenPages_.push_back(page_index);
+    }
     return *cachedPage_;
 }
 
@@ -156,18 +218,19 @@ FunctionalMemory::write(uint64_t addr, uint32_t size, int64_t value)
 void
 FunctionalMemory::reset()
 {
-    for (auto &[index, page] : pages_)
-        std::memset(page->written, 0, sizeof(page->written));
+    for (const uint64_t index : writtenPages_) {
+        Page &page = *pages_.find(index)->second;
+        std::memset(page.written, 0, sizeof(page.written));
+        page.listed = false;
+    }
+    writtenPages_.clear();
     writtenBytes_ = 0;
 }
 
 std::vector<std::pair<uint64_t, uint8_t>>
 FunctionalMemory::image() const
 {
-    std::vector<uint64_t> indices;
-    indices.reserve(pages_.size());
-    for (const auto &[index, page] : pages_)
-        indices.push_back(index);
+    std::vector<uint64_t> indices = writtenPages_;
     std::sort(indices.begin(), indices.end());
 
     std::vector<std::pair<uint64_t, uint8_t>> out;
@@ -187,6 +250,49 @@ FunctionalMemory::image() const
         }
     }
     return out;
+}
+
+MemImage
+FunctionalMemory::snapshot() const
+{
+    static_assert(MemImage::kPageBytes == kPageBytes,
+                  "MemImage shares FunctionalMemory's page geometry");
+    MemImage img;
+    if (writtenBytes_ == 0)
+        return img;
+
+    // Indices first, sorted in place: no index list to allocate.
+    const size_t pages = writtenPages_.size();
+    img.words_.resize(pages * (1 + kBitmapWords));
+    uint64_t *indices = img.words_.data();
+    std::copy(writtenPages_.begin(), writtenPages_.end(), indices);
+    std::sort(indices, indices + pages);
+
+    img.bytes_.resize(writtenBytes_);
+    uint64_t *bitmaps = indices + pages;
+    uint8_t *out = img.bytes_.data();
+    for (size_t p = 0; p < pages; ++p) {
+        const Page &page = *pages_.find(indices[p])->second;
+        std::memcpy(bitmaps + p * kBitmapWords, page.written,
+                    sizeof(page.written));
+        for (uint32_t w = 0; w < kBitmapWords; ++w) {
+            uint64_t bits = page.written[w];
+            if (bits == ~uint64_t{0}) {
+                std::memcpy(out, page.data + w * 64, 64);
+                out += 64;
+                continue;
+            }
+            while (bits != 0) {
+                const uint32_t i =
+                    static_cast<uint32_t>(std::countr_zero(bits));
+                bits &= bits - 1;
+                *out++ = page.data[w * 64 + i];
+            }
+        }
+    }
+    NACHOS_ASSERT(out == img.bytes_.data() + img.bytes_.size(),
+                  "written-byte count out of step with the bitmaps");
+    return img;
 }
 
 } // namespace nachos

@@ -7,22 +7,27 @@
 
 namespace nachos {
 
-MayCheckStation::MayCheckStation(uint32_t num_parents, StatSet &stats,
+MayCheckStation::MayCheckStation(std::span<ParentState> parents,
+                                 std::span<uint32_t> pending,
+                                 StatSet &stats,
                                  uint32_t compares_per_cycle)
-    : numParents_(num_parents),
+    : parents_(parents), pending_(pending),
       mayChecks_(&stats.counter(energy_events::kMdeMay)),
       checksClear_(&stats.counter("nachos.checksClear")),
       checksConflict_(&stats.counter("nachos.checksConflict")),
-      comparesPerCycle_(compares_per_cycle), parents_(num_parents)
+      comparesPerCycle_(compares_per_cycle)
 {
     NACHOS_ASSERT(comparesPerCycle_ >= 1, "need at least one comparator");
+    NACHOS_ASSERT(pending_.size() == parents_.size(),
+                  "arbiter queue must hold every parent");
+    reset();
 }
 
 void
 MayCheckStation::reset()
 {
     std::fill(parents_.begin(), parents_.end(), ParentState{});
-    pendingCompares_.clear();
+    numPending_ = 0;
     ownReady_ = false;
     ownAddr_ = 0;
     ownSize_ = 0;
@@ -47,21 +52,21 @@ void
 MayCheckStation::parentAddressArrived(uint32_t parent, uint64_t addr,
                                       uint32_t size, uint64_t cycle)
 {
-    NACHOS_ASSERT(parent < numParents_, "parent index out of range");
+    NACHOS_ASSERT(parent < numParents(), "parent index out of range");
     ParentState &p = parents_[parent];
     NACHOS_ASSERT(!p.addrArrived, "parent address arrived twice");
     p.addrArrived = true;
     p.addr = addr;
     p.size = size;
     p.addrCycle = cycle;
-    pendingCompares_.push_back(parent);
+    pending_[numPending_++] = parent;
     runComparisons();
 }
 
 void
 MayCheckStation::parentCompleted(uint32_t parent, uint64_t cycle)
 {
-    NACHOS_ASSERT(parent < numParents_, "parent index out of range");
+    NACHOS_ASSERT(parent < numParents(), "parent index out of range");
     ParentState &p = parents_[parent];
     NACHOS_ASSERT(!p.completed, "parent completed twice");
     p.completed = true;
@@ -112,28 +117,31 @@ MayCheckStation::runComparisons()
         return;
     // Deterministic arbitration: by address-arrival cycle, then parent
     // index.
-    std::sort(pendingCompares_.begin(), pendingCompares_.end(),
-              [&](uint32_t a, uint32_t b) {
-                  const auto &pa = parents_[a];
-                  const auto &pb = parents_[b];
-                  if (pa.addrCycle != pb.addrCycle)
-                      return pa.addrCycle < pb.addrCycle;
-                  return a < b;
-              });
-    for (uint32_t parent : pendingCompares_)
+    const auto queue = pending_.first(numPending_);
+    std::sort(queue.begin(), queue.end(), [&](uint32_t a, uint32_t b) {
+        const auto &pa = parents_[a];
+        const auto &pb = parents_[b];
+        if (pa.addrCycle != pb.addrCycle)
+            return pa.addrCycle < pb.addrCycle;
+        return a < b;
+    });
+    for (uint32_t parent : queue)
         tryCompare(parent);
-    pendingCompares_.clear();
+    numPending_ = 0;
 }
 
-std::vector<uint32_t>
-MayCheckStation::conflictingParents() const
+std::optional<uint32_t>
+MayCheckStation::soleConflict() const
 {
-    std::vector<uint32_t> out;
-    for (uint32_t p = 0; p < numParents_; ++p) {
-        if (parents_[p].compared && parents_[p].conflict)
-            out.push_back(p);
+    std::optional<uint32_t> sole;
+    for (uint32_t p = 0; p < numParents(); ++p) {
+        if (!parents_[p].compared || !parents_[p].conflict)
+            continue;
+        if (sole)
+            return std::nullopt;
+        sole = p;
     }
-    return out;
+    return sole;
 }
 
 bool
@@ -160,7 +168,7 @@ MayCheckStation::lastCompareDoneCycle() const
 bool
 MayCheckStation::exactConflict(uint32_t parent) const
 {
-    NACHOS_ASSERT(parent < numParents_, "parent index out of range");
+    NACHOS_ASSERT(parent < numParents(), "parent index out of range");
     const ParentState &p = parents_[parent];
     return p.compared && p.conflict && p.addr == ownAddr_ &&
            p.size == ownSize_;

@@ -18,24 +18,47 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "support/stats.hh"
 
 namespace nachos {
 
-/** One comparator station guarding one younger memory operation. */
+/**
+ * One comparator station guarding one younger memory operation. Its
+ * per-parent state lives in storage its owner provides, so a backend
+ * holds all of a region's stations by value over one flat array.
+ */
 class MayCheckStation
 {
   public:
+    /** Per-parent comparison state (one result bit's worth). */
+    struct ParentState
+    {
+        bool addrArrived = false;
+        bool completed = false;
+        bool compared = false;
+        bool conflict = false;
+        uint64_t addr = 0;
+        uint32_t size = 0;
+        uint64_t addrCycle = 0;
+        uint64_t completeCycle = 0;
+        uint64_t compareDoneCycle = 0;
+        /** Cycle the result bit is set, once determined. */
+        std::optional<uint64_t> bitSet;
+    };
+
     /**
-     * @param num_parents number of MAY-alias parents (result bits)
+     * @param parents one state per MAY-alias parent (result bit); the
+     *        storage must outlive the station
+     * @param pending storage of the same length: the arbiter's queue
      * @param stats energy/event counters (mde.mayChecks et al.)
      * @param compares_per_cycle arbiter width (1 in the paper's
      *        design; larger values model an idealized multi-comparator
      *        station for the contention ablation)
      */
-    MayCheckStation(uint32_t num_parents, StatSet &stats,
+    MayCheckStation(std::span<ParentState> parents,
+                    std::span<uint32_t> pending, StatSet &stats,
                     uint32_t compares_per_cycle = 1);
 
     /** Reset for a new invocation. */
@@ -60,8 +83,9 @@ class MayCheckStation
      */
     std::optional<uint64_t> allClearCycle() const;
 
-    /** Parents whose comparison found a genuine overlap so far. */
-    std::vector<uint32_t> conflictingParents() const;
+    /** The one parent whose comparison found an overlap, if exactly
+     *  one has so far. */
+    std::optional<uint32_t> soleConflict() const;
 
     /** Have all parents been compared (no comparison outstanding)? */
     bool allCompared() const;
@@ -75,25 +99,18 @@ class MayCheckStation
     /** Number of comparisons performed so far this invocation. */
     uint64_t comparesDone() const { return comparesDone_; }
 
-    uint32_t numParents() const { return numParents_; }
+    uint32_t
+    numParents() const
+    {
+        return static_cast<uint32_t>(parents_.size());
+    }
 
   private:
-    struct ParentState
-    {
-        bool addrArrived = false;
-        bool completed = false;
-        bool compared = false;
-        bool conflict = false;
-        uint64_t addr = 0;
-        uint32_t size = 0;
-        uint64_t addrCycle = 0;
-        uint64_t completeCycle = 0;
-        uint64_t compareDoneCycle = 0;
-        /** Cycle the result bit is set, once determined. */
-        std::optional<uint64_t> bitSet;
-    };
-
-    uint32_t numParents_;
+    std::span<ParentState> parents_;
+    /** Arrival-ordered queue of parents waiting for the comparator:
+     *  the first numPending_ entries. */
+    std::span<uint32_t> pending_;
+    uint32_t numPending_ = 0;
     /** Handles resolved once at construction (hot path: no string
      * building per comparison). */
     Counter *mayChecks_;
@@ -101,14 +118,11 @@ class MayCheckStation
     Counter *checksConflict_;
     uint32_t comparesPerCycle_;
     uint64_t comparatorSlot_ = 0;
-    std::vector<ParentState> parents_;
     bool ownReady_ = false;
     uint64_t ownAddr_ = 0;
     uint32_t ownSize_ = 0;
     uint64_t ownCycle_ = 0;
     uint64_t comparesDone_ = 0;
-    /** Arrival-ordered queue of parents waiting for the comparator. */
-    std::vector<uint32_t> pendingCompares_;
 
     void runComparisons();
     void tryCompare(uint32_t parent);

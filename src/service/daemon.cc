@@ -591,6 +591,9 @@ Daemon::executeJob(Shard &shard, Job &job, bool interruptible)
         r.entry = cache_.acquire(*job.spec.info, request);
         r.times.synthSeconds = secondsSince(frontStart);
         const SimConfig sim = simConfigFor(*job.spec.info, request);
+        // Compiled per job, not cached: the cache key is machine-
+        // independent, and the network is a machine override.
+        const CompiledRegion compiled(r.entry->region, sim.grid, sim.net);
         const struct
         {
             bool wanted;
@@ -613,8 +616,8 @@ Daemon::executeJob(Shard &shard, Job &job, bool interruptible)
                 continue;
             }
             const clock_t_::time_point simStart = clock_t_::now();
-            *lane.out = simulate(r.entry->region, r.entry->mdes,
-                                 lane.kind, sim, shard.pool);
+            *lane.out = simulate(compiled, r.entry->mdes, lane.kind, sim,
+                                 shard.pool);
             r.times.simSeconds += secondsSince(simStart);
             ++lanes;
         }

@@ -60,10 +60,7 @@ class CalendarQueue
         ++size_;
         ++seq_;
         if (cycle - now_ < BucketCount) {
-            const size_t slot = cycle & (BucketCount - 1);
-            if (ring_[slot].empty())
-                markOccupied(slot);
-            ring_[slot].push_back(ev);
+            pushToSlot(cycle & (BucketCount - 1), ev);
         } else {
             overflow_.push_back(OverflowEntry{cycle, seq_, ev});
             std::push_heap(overflow_.begin(), overflow_.end(),
@@ -132,16 +129,28 @@ class CalendarQueue
      * instead, so the ring retains at most BucketCount times that many
      * events however large a past run's waves were: most waves hold a
      * few events, and large ones must not pin memory for the rest of
-     * the queue's life.
+     * the queue's life. Both push paths record such a bucket as it
+     * grows, so a reset costs O(buckets grown), not O(BucketCount);
+     * only a queue reset with events still pending clears every
+     * bucket.
      */
     void
     reset()
     {
-        for (std::vector<Event> &bucket : ring_) {
-            if (bucket.capacity() > kRetainedBucketEvents)
-                std::vector<Event>().swap(bucket);
-            else
+        for (size_t w = 0; w < grown_.size(); ++w) {
+            for (uint64_t bits = grown_[w]; bits != 0; bits &= bits - 1) {
+                const size_t slot =
+                    w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+                std::vector<Event>().swap(ring_[slot]);
+            }
+        }
+        grown_.fill(0);
+        if (size_ != 0) {
+            for (std::vector<Event> &bucket : ring_)
                 bucket.clear();
+        } else if (cursor_ != 0) {
+            // pop() leaves the drained bucket's events until it moves on.
+            ring_[now_ & (BucketCount - 1)].clear();
         }
         occupied_.fill(0);
         overflow_.clear();
@@ -172,6 +181,21 @@ class CalendarQueue
                                       : a.seq > b.seq;
         }
     };
+
+    /**
+     * Append to a ring slot, recording the slot for reset() to free
+     * once its bucket has grown past kRetainedBucketEvents.
+     */
+    void
+    pushToSlot(size_t slot, const Event &ev)
+    {
+        std::vector<Event> &bucket = ring_[slot];
+        if (bucket.empty())
+            markOccupied(slot);
+        bucket.push_back(ev);
+        if (bucket.capacity() > kRetainedBucketEvents)
+            grown_[slot / 64] |= uint64_t{1} << (slot % 64);
+    }
 
     void
     markOccupied(size_t slot)
@@ -239,16 +263,15 @@ class CalendarQueue
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           OverflowLater{});
             const OverflowEntry &e = overflow_.back();
-            const size_t s = e.cycle & (BucketCount - 1);
-            if (ring_[s].empty())
-                markOccupied(s);
-            ring_[s].push_back(e.ev);
+            pushToSlot(e.cycle & (BucketCount - 1), e.ev);
             overflow_.pop_back();
         }
     }
 
     std::array<std::vector<Event>, BucketCount> ring_;
     std::array<uint64_t, BucketCount / 64> occupied_{};
+    /** Slots whose bucket grew past kRetainedBucketEvents. */
+    std::array<uint64_t, BucketCount / 64> grown_{};
     std::vector<OverflowEntry> overflow_;
     uint64_t now_ = 0;
     uint64_t seq_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/pipeline.hh"
@@ -119,13 +118,25 @@ mustPairs(const AliasMatrix &matrix)
     return out;
 }
 
-/** All per-run checks against the reference execution. */
+/** A commit's place in a run's commit order (must-order check). */
+struct CommitSlot
+{
+    size_t seq = 0;
+    bool forwarded = false;
+    bool committed = false;
+};
+
+/**
+ * All per-run checks against the reference execution. `slots` is
+ * working storage reused across runs: one entry per (invocation,
+ * op).
+ */
 void
 checkRun(const Region &region, const ReferenceResult &ref,
          const SimResult &res, const std::string &backend,
          uint64_t invocations,
          const std::vector<std::pair<OpId, OpId>> &must,
-         std::vector<FuzzMismatch> &out)
+         std::vector<CommitSlot> &slots, std::vector<FuzzMismatch> &out)
 {
     if (res.loadValueDigest != ref.loadValueDigest) {
         out.push_back({"oracle-digest", backend,
@@ -139,8 +150,9 @@ checkRun(const Region &region, const ReferenceResult &ref,
                              " bytes)";
         const size_t n =
             std::min(res.memImage.size(), ref.memImage.size());
-        for (size_t i = 0; i < n; ++i) {
-            if (res.memImage[i] != ref.memImage[i]) {
+        MemImage::const_iterator it = res.memImage.begin();
+        for (size_t i = 0; i < n; ++i, ++it) {
+            if (*it != ref.memImage[i]) {
                 detail += "; first divergence at " +
                           hex(ref.memImage[i].first);
                 break;
@@ -158,26 +170,26 @@ checkRun(const Region &region, const ReferenceResult &ref,
 
     if (must.empty())
         return;
-    // Commit sequence per (invocation, op). Key fits 64 bits: op ids
+    // Commit sequence per (invocation, op), indexed densely: op ids
     // are dense and small.
-    std::unordered_map<uint64_t, std::pair<size_t, bool>> seq;
-    seq.reserve(res.memCommits.size());
     const uint64_t num_ops = region.numOps();
+    slots.assign(invocations * num_ops, CommitSlot{});
     for (size_t k = 0; k < res.memCommits.size(); ++k) {
         const MemCommit &c = res.memCommits[k];
-        seq[c.invocation * num_ops + c.op] = {k, c.forwarded};
+        if (c.invocation < invocations)
+            slots[c.invocation * num_ops + c.op] = {k, c.forwarded, true};
     }
     for (const auto &[older, younger] : must) {
         for (uint64_t inv = 0; inv < invocations; ++inv) {
-            auto o = seq.find(inv * num_ops + older);
-            auto y = seq.find(inv * num_ops + younger);
-            if (o == seq.end() || y == seq.end())
+            const CommitSlot &o = slots[inv * num_ops + older];
+            const CommitSlot &y = slots[inv * num_ops + younger];
+            if (!o.committed || !y.committed)
                 continue; // commit-count check already fired
             // A forwarded load never touched memory; the forward edge
             // itself is the ordering.
-            if (o->second.second || y->second.second)
+            if (o.forwarded || y.forwarded)
                 continue;
-            if (o->second.first > y->second.first) {
+            if (o.seq > y.seq) {
                 out.push_back(
                     {"must-order", backend,
                      "MUST pair op" + std::to_string(older) + " -> op" +
@@ -240,16 +252,20 @@ checkRegion(const Region &region, const FuzzOptions &opts)
     labels.push_back("nachos");
 
     // Worker-thread-local pool: the hierarchy survives across lanes
-    // and cases, so steady-state fuzzing reconstructs nothing.
+    // and cases, so steady-state fuzzing reconstructs nothing. Every
+    // lane runs on the default grid and network, so they share one
+    // compiled placement and firing tables.
     thread_local HierarchyPool pool;
+    const CompiledRegion compiled(region, cfg.grid, cfg.net);
     std::vector<SimResult> results;
     results.reserve(lanes.size());
     for (const Lane &lane : lanes)
         results.push_back(
-            simulate(region, mdes, lane.kind, lane.cfg, pool));
+            simulate(compiled, mdes, lane.kind, lane.cfg, pool));
+    std::vector<CommitSlot> slots;
     for (size_t i = 0; i < lanes.size(); ++i)
         checkRun(region, ref, results[i], labels[i], opts.invocations,
-                 must, out);
+                 must, slots, out);
 
     const SimResult &sw = results[results.size() - 2];
     const SimResult &hw = results[results.size() - 1];

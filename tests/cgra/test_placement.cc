@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "cgra/compiled_region.hh"
 #include "cgra/network.hh"
 #include "cgra/placement.hh"
+#include "cgra/simulator.hh"
 #include "ir/builder.hh"
+#include "mde/mde.hh"
 
 namespace nachos {
 namespace {
@@ -65,25 +68,36 @@ TEST(Placement, WrapsWhenRegionExceedsGrid)
 TEST(Network, LatencyScalesWithDistance)
 {
     Region r = chainRegion(40);
-    Placement p(r);
-    StatSet stats;
     NetworkConfig cfg;
-    OperandNetwork net(p, cfg, stats);
+    const CompiledRegion compiled(r, {}, cfg);
     // Adjacent ops: minimum latency.
-    EXPECT_EQ(net.latency(1, 2), cfg.minLatency);
+    EXPECT_EQ(compiled.latency(1, 2), cfg.minLatency);
     // Distant ops: more cycles.
-    uint64_t far = net.latency(0, 39);
-    EXPECT_GE(far, net.latency(0, 5));
+    uint64_t far = compiled.latency(0, 39);
+    EXPECT_GE(far, compiled.latency(0, 5));
+    EXPECT_EQ(networkLatency(9, {4, 1}), 3u);
+    EXPECT_EQ(networkLatency(0, {4, 2}), 2u);
 }
 
 TEST(Network, TransferCountsHops)
 {
+    // Every delivered operand is one transfer over its route's hops.
     Region r = chainRegion(4);
-    Placement p(r);
-    StatSet stats;
-    OperandNetwork net(p, {4, 1}, stats);
-    net.countTransfer(0, 1);
-    EXPECT_EQ(stats.get("net.hops"), p.hops(0, 1));
+    SimConfig cfg;
+    cfg.invocations = 1;
+    const SimResult res =
+        simulate(r, MdeSet(r), BackendKind::NachosSw, cfg);
+    const Placement p(r);
+    uint64_t transfers = 0;
+    uint64_t hops = 0;
+    for (const Operation &o : r.ops()) {
+        for (OpId src : o.operands) {
+            ++transfers;
+            hops += p.hops(src, o.id);
+        }
+    }
+    EXPECT_EQ(res.stats.get(energy_events::kNetworkTransfers), transfers);
+    EXPECT_EQ(res.stats.get("net.hops"), hops);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * Reused engine storage: a warm simulate() takes the event queue, wave
- * buffer, op state, operand arena and firing tables from storage kept
- * per thread, and the memory hierarchy from a HierarchyPool. These
+ * buffer, op state and operand arena from storage kept per thread (the
+ * region-path overloads also compile into a per-thread slot), and the
+ * memory hierarchy from a HierarchyPool. These
  * tests pin the two promises that make that safe: a warm run
  * allocates nothing per invocation, and whatever ran before on the
  * thread (a larger region, another machine, another backend) cannot
@@ -175,14 +176,15 @@ TEST(SimStorageDeathTest, SecondLiveCoreOnAThreadIsFatal)
     const Region r = fixedFootprintRegion();
     const MdeSet mdes = insertMdes(r, runAliasPipeline(r).matrix);
     const SimConfig cfg;
+    const CompiledRegion compiled(r, cfg.grid, cfg.net);
     EXPECT_DEATH(
         {
             HierarchyPool pool1;
             HierarchyPool pool2;
             SwBackend backend1(r, mdes);
             SwBackend backend2(r, mdes);
-            SimCore first(r, mdes, backend1, cfg, pool1);
-            SimCore second(r, mdes, backend2, cfg, pool2);
+            SimCore first(compiled, mdes, backend1, cfg, pool1);
+            SimCore second(compiled, mdes, backend2, cfg, pool2);
         },
         "another SimCore is live");
 }

@@ -1,9 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "nachos/may_station.hh"
 
 namespace nachos {
 namespace {
+
+/** A station over its own parent storage. */
+struct OwnedStation
+{
+    OwnedStation(uint32_t num_parents, StatSet &stats,
+                 uint32_t compares_per_cycle = 1)
+        : parents(num_parents), pending(num_parents),
+          station(parents, pending, stats, compares_per_cycle)
+    {}
+
+    std::vector<MayCheckStation::ParentState> parents;
+    std::vector<uint32_t> pending;
+    MayCheckStation station;
+};
 
 class MayStationTest : public ::testing::Test
 {
@@ -13,7 +30,8 @@ class MayStationTest : public ::testing::Test
 
 TEST_F(MayStationTest, NoConflictClearsAfterCompare)
 {
-    MayCheckStation st(1, stats);
+    OwnedStation stStorage(1, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 10);
     EXPECT_FALSE(st.allClearCycle().has_value());
     st.parentAddressArrived(0, 0x200, 8, 12);
@@ -26,7 +44,8 @@ TEST_F(MayStationTest, NoConflictClearsAfterCompare)
 
 TEST_F(MayStationTest, ConflictWaitsForParentCompletion)
 {
-    MayCheckStation st(1, stats);
+    OwnedStation stStorage(1, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 5);
     st.parentAddressArrived(0, 0x100, 8, 6);
     EXPECT_FALSE(st.allClearCycle().has_value()); // conflict pending
@@ -39,7 +58,8 @@ TEST_F(MayStationTest, ConflictWaitsForParentCompletion)
 
 TEST_F(MayStationTest, CompletionBeforeCompareHandled)
 {
-    MayCheckStation st(1, stats);
+    OwnedStation stStorage(1, stats);
+    MayCheckStation &st = stStorage.station;
     st.parentCompleted(0, 8);
     st.parentAddressArrived(0, 0x100, 8, 9);
     EXPECT_FALSE(st.allClearCycle().has_value()); // own addr missing
@@ -52,7 +72,8 @@ TEST_F(MayStationTest, CompletionBeforeCompareHandled)
 TEST_F(MayStationTest, ArbiterSerializesOneComparePerCycle)
 {
     // Three parents arrive in the same cycle: compares at t, t+1, t+2.
-    MayCheckStation st(3, stats);
+    OwnedStation stStorage(3, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 10);
     st.parentAddressArrived(0, 0x200, 8, 10);
     st.parentAddressArrived(1, 0x300, 8, 10);
@@ -66,7 +87,8 @@ TEST_F(MayStationTest, ArbiterSerializesOneComparePerCycle)
 TEST_F(MayStationTest, HighFanInScalesLinearly)
 {
     const uint32_t k = 50;
-    MayCheckStation st(k, stats);
+    OwnedStation stStorage(k, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 0);
     for (uint32_t p = 0; p < k; ++p)
         st.parentAddressArrived(p, 0x1000 + p * 64, 8, 0);
@@ -77,7 +99,8 @@ TEST_F(MayStationTest, HighFanInScalesLinearly)
 
 TEST_F(MayStationTest, StaggeredArrivalsAvoidContention)
 {
-    MayCheckStation st(2, stats);
+    OwnedStation stStorage(2, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 0);
     st.parentAddressArrived(0, 0x200, 8, 5);
     st.parentAddressArrived(1, 0x300, 8, 9);
@@ -88,7 +111,8 @@ TEST_F(MayStationTest, StaggeredArrivalsAvoidContention)
 
 TEST_F(MayStationTest, PartialOverlapIsConflict)
 {
-    MayCheckStation st(1, stats);
+    OwnedStation stStorage(1, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x104, 8, 0);
     st.parentAddressArrived(0, 0x100, 8, 0);
     EXPECT_FALSE(st.allClearCycle().has_value());
@@ -98,7 +122,8 @@ TEST_F(MayStationTest, PartialOverlapIsConflict)
 
 TEST_F(MayStationTest, ResetRestoresFreshState)
 {
-    MayCheckStation st(1, stats);
+    OwnedStation stStorage(1, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 0);
     st.parentAddressArrived(0, 0x200, 8, 0);
     ASSERT_TRUE(st.allClearCycle().has_value());
@@ -111,14 +136,14 @@ TEST_F(MayStationTest, ResetRestoresFreshState)
 
 TEST_F(MayStationTest, ConflictIntrospection)
 {
-    MayCheckStation st(3, stats);
+    OwnedStation stStorage(3, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 0);
     st.parentAddressArrived(0, 0x100, 8, 0); // exact conflict
     st.parentAddressArrived(1, 0x104, 8, 0); // partial conflict
     st.parentAddressArrived(2, 0x900, 8, 0); // disjoint
     ASSERT_TRUE(st.allCompared());
-    auto conflicts = st.conflictingParents();
-    ASSERT_EQ(conflicts.size(), 2u);
+    EXPECT_FALSE(st.soleConflict().has_value()); // two overlaps
     EXPECT_TRUE(st.exactConflict(0));
     EXPECT_FALSE(st.exactConflict(1)); // overlap but not exact
     EXPECT_FALSE(st.exactConflict(2));
@@ -126,9 +151,45 @@ TEST_F(MayStationTest, ConflictIntrospection)
     EXPECT_EQ(st.lastCompareDoneCycle(), 3u);
 }
 
+TEST_F(MayStationTest, SoleConflictNamesTheOneOverlappingParent)
+{
+    OwnedStation stStorage(3, stats);
+    MayCheckStation &st = stStorage.station;
+    st.ownAddressReady(0x100, 8, 0);
+    st.parentAddressArrived(0, 0x900, 8, 0); // disjoint
+    EXPECT_FALSE(st.soleConflict().has_value());
+    st.parentAddressArrived(2, 0x100, 8, 0); // exact conflict
+    ASSERT_TRUE(st.soleConflict().has_value());
+    EXPECT_EQ(*st.soleConflict(), 2u);
+}
+
+TEST_F(MayStationTest, StationsShareOneFlatParentArray)
+{
+    // Two stations over adjacent slices of one array, as the NACHOS
+    // backend lays them out: neither sees the other's parents.
+    std::vector<MayCheckStation::ParentState> parents(3);
+    std::vector<uint32_t> pending(3);
+    MayCheckStation a{std::span(parents).subspan(0, 1),
+                      std::span(pending).subspan(0, 1), stats};
+    MayCheckStation b{std::span(parents).subspan(1, 2),
+                      std::span(pending).subspan(1, 2), stats};
+    a.ownAddressReady(0x100, 8, 0);
+    b.ownAddressReady(0x100, 8, 0);
+    a.parentAddressArrived(0, 0x100, 8, 1); // conflict
+    b.parentAddressArrived(0, 0x200, 8, 1);
+    b.parentAddressArrived(1, 0x300, 8, 1);
+    EXPECT_FALSE(a.allClearCycle().has_value());
+    ASSERT_TRUE(b.allClearCycle().has_value());
+    EXPECT_EQ(*b.allClearCycle(), 3u);
+    b.reset();
+    EXPECT_TRUE(parents[0].compared); // a's state survives b's reset
+    EXPECT_FALSE(parents[1].compared);
+}
+
 TEST_F(MayStationTest, AllComparedFalseWhileWaitingForOwnAddress)
 {
-    MayCheckStation st(1, stats);
+    OwnedStation stStorage(1, stats);
+    MayCheckStation &st = stStorage.station;
     st.parentAddressArrived(0, 0x200, 8, 2);
     EXPECT_FALSE(st.allCompared());
     st.ownAddressReady(0x100, 8, 5);
@@ -137,7 +198,8 @@ TEST_F(MayStationTest, AllComparedFalseWhileWaitingForOwnAddress)
 
 TEST_F(MayStationTest, WideArbiterComparesInParallel)
 {
-    MayCheckStation wide(4, stats, /*compares_per_cycle=*/4);
+    OwnedStation wideStorage(4, stats, /*compares_per_cycle=*/4);
+    MayCheckStation &wide = wideStorage.station;
     wide.ownAddressReady(0x100, 8, 10);
     for (uint32_t p = 0; p < 4; ++p)
         wide.parentAddressArrived(p, 0x1000 + p * 64, 8, 10);
@@ -147,7 +209,8 @@ TEST_F(MayStationTest, WideArbiterComparesInParallel)
 
 TEST_F(MayStationTest, DeathOnDuplicateEvents)
 {
-    MayCheckStation st(1, stats);
+    OwnedStation stStorage(1, stats);
+    MayCheckStation &st = stStorage.station;
     st.ownAddressReady(0x100, 8, 0);
     EXPECT_DEATH(st.ownAddressReady(0x100, 8, 1), "twice");
     st.parentAddressArrived(0, 0x200, 8, 0);

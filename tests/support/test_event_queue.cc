@@ -310,6 +310,65 @@ TEST(CalendarQueue, ResetKeepsSmallBucketsAndFreesLargeOnes)
     EXPECT_GT(threadAllocCount() - before, 0u);
 }
 
+TEST(CalendarQueue, ResetFreesABucketGrownByOverflowMigration)
+{
+    using Q = CalendarQueue<Ev, 64>;
+    Q q;
+    // Cycle 100 is beyond the ring at cycle 0: these wait in the
+    // overflow heap and reach their slot only when the clock advances.
+    for (uint32_t i = 0; i < 4 * Q::kRetainedBucketEvents; ++i)
+        q.schedule(100, {i});
+    q.schedule(50, {99});
+    std::vector<Ev> wave;
+    EXPECT_EQ(q.drainWave(wave), 50u); // migrates cycle 100's events
+    EXPECT_EQ(q.drainWave(wave), 100u);
+    ASSERT_EQ(wave.size(), 4 * Q::kRetainedBucketEvents);
+    q.reset();
+
+    // Slot 100 % 64 lost its oversized storage and must grow again.
+    const uint64_t before = threadAllocCount();
+    q.schedule(100 % 64, {0});
+    EXPECT_GT(threadAllocCount() - before, 0u);
+}
+
+TEST(CalendarQueue, ResetAfterSmallBucketsAllocatesNothingOnRefill)
+{
+    using Q = CalendarQueue<Ev, 64>;
+    Q q;
+    std::vector<Ev> wave;
+    wave.reserve(Q::kRetainedBucketEvents);
+    const auto run = [&q, &wave] {
+        for (uint64_t c = 0; c < 64; ++c)
+            for (uint32_t i = 0; i < Q::kRetainedBucketEvents; ++i)
+                q.schedule(c, {i});
+        while (!q.empty()) {
+            wave.clear();
+            const uint64_t cycle = q.drainWave(wave);
+            EXPECT_EQ(wave.size(), Q::kRetainedBucketEvents) << cycle;
+        }
+    };
+    run();
+    q.reset();
+    const uint64_t before = threadAllocCount();
+    run();
+    q.reset();
+    EXPECT_EQ(threadAllocCount() - before, 0u);
+}
+
+TEST(CalendarQueue, ResetAfterPopDrainForgetsTheDrainedBucket)
+{
+    // pop() leaves the last bucket's consumed events in place until it
+    // moves on; a reset must not let them come back.
+    Queue q;
+    for (uint32_t i = 0; i < 3; ++i)
+        q.schedule(5, {i});
+    EXPECT_EQ(drain(q).size(), 3u);
+    q.reset();
+    q.schedule(5, {7});
+    EXPECT_EQ(drain(q),
+              (std::vector<std::pair<uint64_t, uint32_t>>{{5, 7}}));
+}
+
 TEST(CalendarQueueDeathTest, DrainWaveAfterPartialPopIsFatal)
 {
     Queue q;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "ir/builder.hh"
 #include "ir/serialize.hh"
 #include "testing/diff_fuzzer.hh"
@@ -54,6 +57,39 @@ TEST(DiffFuzzer, TriviallyCorrectRegionChecksClean)
 
     FuzzOptions opts;
     EXPECT_TRUE(checkRegion(r, opts).empty());
+}
+
+TEST(DiffFuzzer, ImageMismatchNamesTheFirstDifferingAddress)
+{
+    // Two stores to A+8, the older one's data late: without their
+    // ORDER edge the younger store lands first and is overwritten.
+    // A+0 is written once, so the images first differ at A+8.
+    RegionBuilder b("waw");
+    ObjectId a = b.object("A", 256);
+    b.store(b.at(a, 0), b.constant(7));
+    const OpId zero = b.constant(0);
+    OpId late = b.constant(1);
+    for (int i = 0; i < 24; ++i)
+        late = b.iadd(late, zero);
+    b.store(b.at(a, 8), late);
+    b.store(b.at(a, 8), b.constant(2));
+    const Region r = b.build();
+
+    FuzzOptions opts;
+    ASSERT_TRUE(checkRegion(r, opts).empty());
+    opts.fault = FaultInjection::DropOrderEdge;
+    std::ostringstream want;
+    want << "first divergence at 0x" << std::hex
+         << r.object(a).baseAddr + 8;
+    bool found = false;
+    for (const FuzzMismatch &m : checkRegion(r, opts)) {
+        if (m.check != "oracle-image")
+            continue;
+        found = true;
+        EXPECT_NE(m.detail.find(want.str()), std::string::npos)
+            << m.backend << ": " << m.detail;
+    }
+    EXPECT_TRUE(found) << "the dropped ORDER edge changed no image";
 }
 
 TEST(DiffFuzzer, FaultNamesRoundTrip)
