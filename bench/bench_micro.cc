@@ -7,8 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <functional>
-#include <queue>
+#include <vector>
 
 #include "analysis/pipeline.hh"
 #include "cgra/simulator.hh"
@@ -90,9 +89,11 @@ BENCHMARK(BM_SimulatorInvocation)
     ->Arg(2); // NACHOS
 
 /**
- * Event-queue push/pop throughput: the typed-record CalendarQueue the
- * simulator dispatches from. The schedule pattern mimics the hot path
- * (mixed near-future latencies, occasional DRAM-distance completions).
+ * Event-queue throughput through the simulator's access pattern:
+ * schedule a batch, then drain it a wave (one cycle's events) at a
+ * time. Latencies spread each batch over the whole 1024-cycle ring,
+ * with a few DRAM-distance and beyond-the-ring (overflow) completions,
+ * so every slot's list and the shared node pool are exercised.
  */
 void
 BM_EventQueuePushPop(benchmark::State &state)
@@ -103,71 +104,29 @@ BM_EventQueuePushPop(benchmark::State &state)
         uint32_t op;
         uint32_t slot;
     };
-    constexpr int kBatch = 64;
+    constexpr uint32_t kBatch = 256;
     CalendarQueue<Ev> queue;
+    std::vector<Ev> wave;
     uint64_t scheduled = 0;
     for (auto _ : state) {
-        Ev ev;
         for (uint32_t i = 0; i < kBatch; ++i) {
-            // Latency mix: mesh hops (1-16), L1 (3), DRAM-ish (228).
-            const uint64_t lat = (i % 8 == 0) ? 228 : 1 + (i % 16);
+            // Mostly short hops, some L1/DRAM-ish, 1 in 32 past the ring.
+            const uint64_t lat = i % 32 == 0   ? 1500 + i
+                                 : i % 8 == 0  ? 228
+                                 : i % 4 == 0  ? 1 + (i * 37) % 1023
+                                               : 1 + i % 16;
             queue.schedule(queue.now() + lat,
                            {static_cast<int64_t>(i), i, 0});
             ++scheduled;
         }
-        for (int i = 0; i < kBatch; ++i)
-            benchmark::DoNotOptimize(queue.pop(ev));
+        while (!queue.empty()) {
+            benchmark::DoNotOptimize(queue.drainWave(wave));
+            benchmark::DoNotOptimize(wave.data());
+        }
     }
     state.SetItemsProcessed(static_cast<int64_t>(scheduled));
 }
 BENCHMARK(BM_EventQueuePushPop);
-
-/**
- * The engine the CalendarQueue replaced: heap-allocated std::function
- * events through a std::priority_queue ordered by (cycle, seq) — kept
- * as the before/after yardstick for the event-engine overhaul.
- */
-void
-BM_LegacyFunctionQueue(benchmark::State &state)
-{
-    struct Event
-    {
-        uint64_t cycle;
-        uint64_t seq;
-        std::function<void()> fn;
-        bool
-        operator>(const Event &other) const
-        {
-            return cycle != other.cycle ? cycle > other.cycle
-                                        : seq > other.seq;
-        }
-    };
-    constexpr int kBatch = 64;
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        queue;
-    uint64_t seq = 0;
-    uint64_t now = 0;
-    uint64_t sink = 0;
-    uint64_t scheduled = 0;
-    for (auto _ : state) {
-        for (uint32_t i = 0; i < kBatch; ++i) {
-            const uint64_t lat = (i % 8 == 0) ? 228 : 1 + (i % 16);
-            const uint64_t value = i;
-            queue.push(Event{now + lat, seq++,
-                             [&sink, value] { sink += value; }});
-            ++scheduled;
-        }
-        for (int i = 0; i < kBatch; ++i) {
-            const Event &top = queue.top();
-            now = top.cycle;
-            top.fn();
-            queue.pop();
-        }
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(static_cast<int64_t>(scheduled));
-}
-BENCHMARK(BM_LegacyFunctionQueue);
 
 /**
  * Operand fan-out delivery: one producer feeding `range(0)` consumers

@@ -113,37 +113,35 @@ AliasMatrix::opOf(uint32_t mem_index) const
 PairCounts
 AliasMatrix::counts() const
 {
-    PairCounts c;
-    for (uint32_t i = 0; i < n_; ++i) {
-        for (uint32_t j = i + 1; j < n_; ++j) {
-            if (!relevant(i, j))
-                continue;
-            switch (label(i, j)) {
-              case AliasLabel::No: ++c.no; break;
-              case AliasLabel::May: ++c.may; break;
-              case AliasLabel::Must: ++c.must; break;
-            }
-        }
-    }
-    return c;
+    PairCounts all;
+    PairCounts enforced;
+    countPairs(all, enforced);
+    return all;
 }
 
-PairCounts
-AliasMatrix::enforcedCounts() const
+void
+AliasMatrix::countPairs(PairCounts &all, PairCounts &enforced) const
 {
-    PairCounts c;
+    all = {};
+    enforced = {};
+    // Pairs are stored row by row over the upper triangle, so (i, j)
+    // in loop order is index idx.
+    size_t idx = 0;
     for (uint32_t i = 0; i < n_; ++i) {
-        for (uint32_t j = i + 1; j < n_; ++j) {
-            if (!relevant(i, j) || !enforced(i, j))
+        for (uint32_t j = i + 1; j < n_; ++j, ++idx) {
+            if (!isStore_[i] && !isStore_[j])
                 continue;
-            switch (label(i, j)) {
-              case AliasLabel::No: ++c.no; break;
-              case AliasLabel::May: ++c.may; break;
-              case AliasLabel::Must: ++c.must; break;
+            uint64_t PairCounts::*label = &PairCounts::no;
+            switch (toLabel(relations_[idx])) {
+              case AliasLabel::No: label = &PairCounts::no; break;
+              case AliasLabel::May: label = &PairCounts::may; break;
+              case AliasLabel::Must: label = &PairCounts::must; break;
             }
+            ++(all.*label);
+            if (enforced_[idx])
+                ++(enforced.*label);
         }
     }
-    return c;
 }
 
 } // namespace nachos

@@ -91,8 +91,11 @@ class AliasMatrix
     /** Counts over all relevant pairs. */
     PairCounts counts() const;
 
-    /** Counts over relevant pairs that are still enforced. */
-    PairCounts enforcedCounts() const;
+    /**
+     * In one pass over the pairs: counts() into `all`, and the counts
+     * over relevant pairs that are still enforced into `enforced`.
+     */
+    void countPairs(PairCounts &all, PairCounts &enforced) const;
 
   private:
     size_t n_ = 0;

@@ -9,7 +9,9 @@ namespace {
 StageSnapshot
 snapshot(const AliasMatrix &matrix)
 {
-    return {matrix.counts(), matrix.enforcedCounts()};
+    StageSnapshot s;
+    matrix.countPairs(s.all, s.enforced);
+    return s;
 }
 
 } // namespace

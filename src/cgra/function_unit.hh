@@ -18,21 +18,17 @@ namespace nachos {
 uint32_t fuLatency(OpKind kind);
 
 /**
- * Account the energy event for executing one compute op. Takes the
- * two counters directly so callers resolve the stat handles once
- * instead of per executed op.
+ * Account the energy event for executing one compute op in `stats`
+ * (fu.intOps / fu.fpOps, declared by the caller).
  */
 inline void
-countFuExecution(OpKind kind, Counter &int_ops, Counter &fp_ops)
+countFuExecution(OpKind kind, StatSet &stats)
 {
     if (kind == OpKind::Const || kind == OpKind::LiveIn ||
         kind == OpKind::LiveOut) {
         return; // free: immediates and region boundary latches
     }
-    if (isFloatKind(kind))
-        fp_ops.inc();
-    else
-        int_ops.inc();
+    stats.add(isFloatKind(kind) ? Stat::FuFpOps : Stat::FuIntOps);
 }
 
 } // namespace nachos

@@ -55,9 +55,8 @@ void
 NachosBackend::beginInvocation(uint64_t inv)
 {
     SwBackend::beginInvocation(inv);
-    if (runtimeForwarding_ && !runtimeForwards_)
-        runtimeForwards_ =
-            &core_->stats().counter("nachos.runtimeForwards");
+    if (runtimeForwarding_)
+        core_->stats().declare(Stat::NachosRuntimeForwards);
     if (stations_.empty() && !stationInfo_.empty()) {
         parentStates_.resize(stationParents_.size());
         pendingCompares_.resize(stationParents_.size());
@@ -170,7 +169,7 @@ NachosBackend::tryRuntimeForward(OpId op)
          dyn_[parent].fullCycle + core_->netLatency(parent, op)});
     d.issued = true;
     core_->countForward(parent, op);
-    runtimeForwards_->inc();
+    core_->stats().add(Stat::NachosRuntimeForwards);
     core_->completeLoadForwarded(op, when + 1,
                                  core_->storeData(parent));
     return true;

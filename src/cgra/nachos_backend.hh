@@ -79,9 +79,6 @@ class NachosBackend : public SwBackend
     }
 
     bool runtimeForwarding_ = true;
-    /** Resolved on first invocation (hot path: no string building
-     * per forward). */
-    Counter *runtimeForwards_ = nullptr;
 
     uint64_t extraGate(OpId op, bool &blocked) const override;
     void tryIssue(OpId op) override;

@@ -117,13 +117,9 @@ SimCore::bindRun()
     if (cfg_.recordMemTrace)
         memCommits_.reserve(region_.memOps().size() * cfg_.invocations);
 
-    netTransfers_ =
-        &stats_.counter(energy_events::kNetworkTransfers);
-    netHops_ = &stats_.counter("net.hops");
-    mdeMust_ = &stats_.counter(energy_events::kMdeMust);
-    mdeForwards_ = &stats_.counter(energy_events::kMdeForward);
-    intOps_ = &stats_.counter(energy_events::kIntOps);
-    fpOps_ = &stats_.counter(energy_events::kFpOps);
+    for (Stat s : {Stat::NetTransfers, Stat::NetHops, Stat::MdeOrderTokens,
+                   Stat::MdeForwards, Stat::FuIntOps, Stat::FuFpOps})
+        stats_.declare(s);
 }
 
 void
@@ -150,7 +146,7 @@ SimCore::countOrderToken(OpId from, OpId to)
 {
     (void)from;
     (void)to;
-    mdeMust_->inc();
+    stats_.add(Stat::MdeOrderTokens);
 }
 
 void
@@ -158,7 +154,7 @@ SimCore::countForward(OpId from, OpId to)
 {
     (void)from;
     (void)to;
-    mdeForwards_->inc();
+    stats_.add(Stat::MdeForwards);
 }
 
 int64_t
@@ -364,7 +360,7 @@ void
 SimCore::fireOp(OpId op, uint64_t cycle)
 {
     const Operation &o = region_.op(op);
-    countFuExecution(o.kind, *intOps_, *fpOps_);
+    countFuExecution(o.kind, stats_);
     if (trace_.enabled() && fuLatency(o.kind) > 0) {
         trace_.record({std::string(opKindName(o.kind)) + "#" +
                            std::to_string(op),
@@ -418,8 +414,8 @@ SimCore::deliverToUsers(OpId op, uint64_t cycle, int64_t value)
     const uint32_t end = tables_.fanoutOffset[op + 1];
     for (uint32_t i = begin; i < end; ++i) {
         const SimTables::FanoutEdge &e = tables_.fanoutEdges[i];
-        netTransfers_->inc();
-        netHops_->inc(e.hops);
+        stats_.add(Stat::NetTransfers);
+        stats_.add(Stat::NetHops, e.hops);
         ++planEventsElided_; // the OperandArrival that never exists
         deliverOperand(e.user, e.slot, cycle + e.latency, value);
     }
@@ -609,8 +605,7 @@ SimCore::run()
                         : static_cast<double>(mlpArea_) /
                               static_cast<double>(mlpBusyCycles_);
     result.energy = energyModel_.breakdown(stats_);
-    // The run is over: move the registry instead of copying it (map
-    // nodes migrate, so cached Counter* stay valid for the move).
+    // The run is over: move the registry instead of copying it.
     result.stats = std::move(stats_);
     result.loadValueDigest = loadValueDigest_;
     result.criticalOp = criticalOp_;

@@ -30,12 +30,19 @@
  * straight-line cascade at completion cycle = max arrival + FU
  * latency (DESIGN.md §15).
  *
- * Events are small typed records dispatched from a cycle-bucketed
- * CalendarQueue with no per-event allocation. Same-cycle events drain
- * a wave at a time and dispatch in a canonical content order
- * (kind, op, slot, value) — a pure function of event contents, so the
- * dispatch schedule cannot depend on the order handlers scheduled
- * them.
+ * Events are small typed records dispatched from a CalendarQueue: a
+ * ring of per-cycle lists over one node pool, kept per thread, so a
+ * warm run allocates no event storage whichever cycles its waves land
+ * in. Same-cycle events drain a wave at a time and dispatch in a
+ * canonical content order (kind, op, slot, value) — a pure function
+ * of event contents, so the dispatch schedule cannot depend on the
+ * order handlers scheduled them.
+ *
+ * Counters: every layer (network and FUs here, the caches and
+ * scratchpad, OPT-LSQ, the MAY stations, the NACHOS backend) declares
+ * its counters in the run's StatSet when it binds and bumps them by
+ * Stat index, and the EnergyModel reads them the same way; no counter
+ * name is looked up or allocated per run.
  */
 
 #ifndef NACHOS_CGRA_SIMULATOR_HH
@@ -228,7 +235,8 @@ class SimCore final : public BackendCore
      * simulate() calls. The event queue, wave buffer, op state and
      * operand arena live in storage private to the calling thread and
      * are reused from run to run, so a warm run allocates nothing per
-     * invocation. Both are observably identical to fresh construction
+     * invocation, and nothing for them whatever region or lane ran
+     * before it on the thread. Both are observably identical to fresh construction
      * (tested). At most one SimCore may be live per thread (asserted)
      * and per pool, and the pool and `compiled` must outlive the core.
      */
@@ -345,12 +353,6 @@ class SimCore final : public BackendCore
     std::vector<int64_t> &inputArena_;
     /** Static firing tables (compiled_'s). */
     const SimTables &tables_;
-    Counter *netTransfers_ = nullptr;
-    Counter *netHops_ = nullptr;
-    Counter *mdeMust_ = nullptr;
-    Counter *mdeForwards_ = nullptr;
-    Counter *intOps_ = nullptr;
-    Counter *fpOps_ = nullptr;
 
     uint64_t invocation_ = 0;
     uint64_t invocationStart_ = 0;

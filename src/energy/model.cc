@@ -16,28 +16,27 @@ EnergyBreakdown::frac(double category) const
 EnergyBreakdown
 EnergyModel::breakdown(const StatSet &stats) const
 {
-    namespace ev = energy_events;
     const EnergyParams &p = params_;
     EnergyBreakdown b;
 
-    b.compute = p.aluInt * stats.get(ev::kIntOps) +
-                p.aluFp * stats.get(ev::kFpOps) +
-                p.networkPerLink * stats.get(ev::kNetworkTransfers);
+    b.compute = p.aluInt * stats.get(Stat::FuIntOps) +
+                p.aluFp * stats.get(Stat::FuFpOps) +
+                p.networkPerLink * stats.get(Stat::NetTransfers);
 
-    b.mde = p.mdeMay * stats.get(ev::kMdeMay) +
-            p.mdeMust * stats.get(ev::kMdeMust) +
-            p.mdeForward * stats.get(ev::kMdeForward);
+    b.mde = p.mdeMay * stats.get(Stat::MdeMayChecks) +
+            p.mdeMust * stats.get(Stat::MdeOrderTokens) +
+            p.mdeForward * stats.get(Stat::MdeForwards);
 
-    b.lsqBloom = p.lsqBloom * stats.get(ev::kLsqBloom);
-    b.lsqCam = p.lsqCamLoad * stats.get(ev::kLsqCamLoad) +
-               p.lsqCamStore * stats.get(ev::kLsqCamStore) +
-               p.lsqAlloc * stats.get(ev::kLsqAlloc) +
-               p.lsqForward * stats.get(ev::kLsqForward);
+    b.lsqBloom = p.lsqBloom * stats.get(Stat::LsqBloomProbes);
+    b.lsqCam = p.lsqCamLoad * stats.get(Stat::LsqCamLoads) +
+               p.lsqCamStore * stats.get(Stat::LsqCamStores) +
+               p.lsqAlloc * stats.get(Stat::LsqAllocs) +
+               p.lsqForward * stats.get(Stat::LsqForwards);
 
-    b.l1 = p.l1Read * stats.get("l1.reads") +
-           p.l1Write * stats.get("l1.writes") +
-           p.scratchpadAccess * (stats.get("scratchpad.reads") +
-                                 stats.get("scratchpad.writes"));
+    b.l1 = p.l1Read * stats.get(Stat::L1Reads) +
+           p.l1Write * stats.get(Stat::L1Writes) +
+           p.scratchpadAccess * (stats.get(Stat::ScratchpadReads) +
+                                 stats.get(Stat::ScratchpadWrites));
     return b;
 }
 

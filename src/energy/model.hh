@@ -1,7 +1,7 @@
 /**
  * @file
  * Event-based energy accounting in the style of Aladdin: every
- * component bumps named counters in a shared StatSet during simulation;
+ * component bumps its counters in a shared StatSet during simulation;
  * the EnergyModel turns the final counts into an energy breakdown with
  * the categories the paper plots (COMPUTE, MDE, LSQ-BLOOM, LSQ-CAM,
  * L1).
@@ -16,23 +16,6 @@
 #include "support/stats.hh"
 
 namespace nachos {
-
-/** Counter names the simulator components use. */
-namespace energy_events {
-
-inline constexpr const char *kIntOps = "fu.intOps";
-inline constexpr const char *kFpOps = "fu.fpOps";
-inline constexpr const char *kNetworkTransfers = "net.transfers";
-inline constexpr const char *kMdeMay = "mde.mayChecks";
-inline constexpr const char *kMdeMust = "mde.orderTokens";
-inline constexpr const char *kMdeForward = "mde.forwards";
-inline constexpr const char *kLsqBloom = "lsq.bloomProbes";
-inline constexpr const char *kLsqCamLoad = "lsq.camLoads";
-inline constexpr const char *kLsqCamStore = "lsq.camStores";
-inline constexpr const char *kLsqAlloc = "lsq.allocs";
-inline constexpr const char *kLsqForward = "lsq.forwards";
-
-} // namespace energy_events
 
 /** Energy breakdown, femtojoules per category. */
 struct EnergyBreakdown

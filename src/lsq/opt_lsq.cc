@@ -3,23 +3,18 @@
 #include <algorithm>
 #include <functional>
 
-#include "energy/model.hh"
 #include "support/logging.hh"
 
 namespace nachos {
 
-namespace ev = energy_events;
-
 OptLsq::OptLsq(const LsqConfig &cfg, uint32_t num_mem_ops, StatSet &stats)
-    : cfg_(cfg), allocs_(&stats.counter(ev::kLsqAlloc)),
-      bloomProbes_(&stats.counter(ev::kLsqBloom)),
-      bloomHits_(&stats.counter("lsq.bloomHits")),
-      bloomMisses_(&stats.counter("lsq.bloomMisses")),
-      camStores_(&stats.counter(ev::kLsqCamStore)),
-      camLoads_(&stats.counter(ev::kLsqCamLoad)),
-      forwards_(&stats.counter(ev::kLsqForward)), entries_(num_mem_ops),
-      bloom_(cfg.bloom)
+    : cfg_(cfg), stats_(&stats), entries_(num_mem_ops), bloom_(cfg.bloom)
 {
+    for (Stat s : {Stat::LsqAllocs, Stat::LsqBloomHits,
+                   Stat::LsqBloomMisses, Stat::LsqBloomProbes,
+                   Stat::LsqCamLoads, Stat::LsqCamStores,
+                   Stat::LsqForwards})
+        stats.declare(s);
     NACHOS_ASSERT(cfg_.banks >= 1, "need at least one bank");
     for (uint32_t b = 0; b < cfg_.banks; ++b)
         bankPorts_.emplace_back(cfg_.portsPerBank);
@@ -89,18 +84,18 @@ OptLsq::addressReady(uint32_t m, bool is_store, uint64_t addr,
         lastAllocSlot_ = slot;
         uint64_t granted = slot + cfg_.allocLatency;
         a.alloc = granted;
-        allocs_->inc();
+        stats_->add(Stat::LsqAllocs);
         if (a.isStore) {
             bankQueues_[bankOf(a.addr)].stores.push_back(nextToAlloc_);
             // Stores probe the filter BEFORE inserting their own
             // address (no self-hits) and CAM-check both queues on a
             // probe hit, as in a conventional LSQ.
-            bloomProbes_->inc();
+            stats_->add(Stat::LsqBloomProbes);
             if (bloom_.mayContain(a.addr, a.size)) {
-                bloomHits_->inc();
-                camStores_->inc();
+                stats_->add(Stat::LsqBloomHits);
+                stats_->add(Stat::LsqCamStores);
             } else {
-                bloomMisses_->inc();
+                stats_->add(Stat::LsqBloomMisses);
             }
             bloom_.insert(a.addr, a.size);
         }
@@ -120,14 +115,14 @@ OptLsq::loadSearch(uint32_t m, uint64_t cycle)
     LoadSearchResult result;
     result.cycle = cycle + cfg_.searchLatency;
 
-    bloomProbes_->inc();
+    stats_->add(Stat::LsqBloomProbes);
     if (!bloom_.mayContain(e.addr, e.size)) {
-        bloomMisses_->inc();
+        stats_->add(Stat::LsqBloomMisses);
         result.kind = LoadSearchResult::Kind::ToCache;
         return result;
     }
-    bloomHits_->inc();
-    camLoads_->inc();
+    stats_->add(Stat::LsqBloomHits);
+    stats_->add(Stat::LsqCamLoads);
 
     // CAM: youngest older in-flight store overlapping this load. A
     // younger overlapping store that already drained wrote some of the
@@ -143,7 +138,7 @@ OptLsq::loadSearch(uint32_t m, uint64_t cycle)
             continue;
         }
         if (!drainedOverlap && s.addr == e.addr && s.size == e.size) {
-            forwards_->inc();
+            stats_->add(Stat::LsqForwards);
             result.kind = LoadSearchResult::Kind::ForwardFrom;
         } else {
             result.kind = LoadSearchResult::Kind::WaitCommit;

@@ -233,15 +233,8 @@ class OptLsq
     };
 
     LsqConfig cfg_;
-    /** Handles resolved once at construction (hot path: no string
-     * building per allocation/search). */
-    Counter *allocs_;
-    Counter *bloomProbes_;
-    Counter *bloomHits_;
-    Counter *bloomMisses_;
-    Counter *camStores_;
-    Counter *camLoads_;
-    Counter *forwards_;
+    /** Counts lsq.* (declared at construction). */
+    StatSet *stats_;
     std::vector<Entry> entries_;
     std::vector<BandwidthRegulator> bankPorts_;
     std::vector<BankQueue> bankQueues_;

@@ -2,7 +2,22 @@
 
 #include <cstring>
 
+#include "support/logging.hh"
+
 namespace nachos {
+
+Stat
+cacheLevelStat(const char *name)
+{
+    if (std::strcmp(name, "l1") == 0)
+        return Stat::L1Hits;
+    if (std::strcmp(name, "llc") == 0)
+        return Stat::LlcHits;
+    if (std::strcmp(name, "cache") == 0)
+        return Stat::CacheHits;
+    NACHOS_FATAL("cache level '", name,
+                 "' has no counters (known: l1, llc, cache)");
+}
 
 bool
 CacheConfig::sameAs(const CacheConfig &o) const

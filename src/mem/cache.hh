@@ -8,8 +8,8 @@
  * counted (for energy) but modeled off the critical path, as in the
  * paper's aggressive non-blocking interface.
  *
- * The access path is built for speed (DESIGN.md §10): stat counters
- * are resolved to `Counter*` handles once at construction, the hit
+ * The access path is built for speed (DESIGN.md §10): a level bumps
+ * its counters by index in the StatSet's counter block, the hit
  * path is a short inlineable function that falls through to an
  * out-of-line miss path, and the level is a template over its concrete
  * next-level type so the fixed L1→LLC→DRAM chain compiles to direct
@@ -56,6 +56,8 @@ struct CacheConfig
     uint32_t numMshrs = 16;
     /** Requests accepted per cycle. */
     uint32_t ports = 2;
+    /** Counter prefix: "l1", "llc" or "cache", the names in the
+     *  StatSet's counter block (see cacheLevelStat). */
     const char *name = "cache";
     /** Fetch line L+1 on a demand miss to line L (off the critical
      * path; counted as <name>.prefetches). */
@@ -64,6 +66,12 @@ struct CacheConfig
     /** Field-wise equality (names by content) — pooled-reuse check. */
     bool sameAs(const CacheConfig &o) const;
 };
+
+/**
+ * The first counter (`<name>.hits`) of the cache level `name` in the
+ * StatSet counter block; fatal for a name the block does not hold.
+ */
+Stat cacheLevelStat(const char *name);
 
 /** Fixed-latency DRAM with a simple per-request issue bandwidth. */
 class MainMemory final : public MemLevel
@@ -117,7 +125,8 @@ class CacheT final : public MemLevel
 {
   public:
     CacheT(const CacheConfig &cfg, Next &next, StatSet &stats)
-        : cfg_(cfg), next_(next), bw_(cfg.ports)
+        : cfg_(cfg), next_(next), level_(cacheLevelStat(cfg.name)),
+          bw_(cfg.ports)
     {
         NACHOS_ASSERT(cfg_.lineBytes > 0 && cfg_.assoc > 0,
                       "bad cache geometry");
@@ -127,16 +136,7 @@ class CacheT final : public MemLevel
         NACHOS_ASSERT(numSets_ > 0, "cache too small for its geometry");
         ways_.assign(static_cast<size_t>(numSets_) * cfg_.assoc, Way{});
         mshrFreeAt_.assign(cfg_.numMshrs, 0);
-
-        const std::string prefix = cfg_.name;
-        reads_ = &stats.counter(prefix + ".reads");
-        writes_ = &stats.counter(prefix + ".writes");
-        hits_ = &stats.counter(prefix + ".hits");
-        misses_ = &stats.counter(prefix + ".misses");
-        writebacks_ = &stats.counter(prefix + ".writebacks");
-        mshrMerges_ = &stats.counter(prefix + ".mshrMerges");
-        mshrStalls_ = &stats.counter(prefix + ".mshrStalls");
-        prefetches_ = &stats.counter(prefix + ".prefetches");
+        rebindStats(stats);
     }
 
     /** Hit fast path; misses fall through to accessMiss(). */
@@ -146,7 +146,7 @@ class CacheT final : public MemLevel
         cycle = bw_.admit(cycle);
         ++useClock_;
         const uint64_t line = lineOf(addr);
-        (write ? writes_ : reads_)->inc();
+        count(write ? CacheStat::Writes : CacheStat::Reads);
 
         if (Way *way = findWay(line)) {
             way->lastUse = useClock_;
@@ -156,14 +156,14 @@ class CacheT final : public MemLevel
             // MSHR.
             if (way->fillDone != 0) {
                 if (way->fillDone > cycle) {
-                    misses_->inc();
-                    mshrMerges_->inc();
+                    count(CacheStat::Misses);
+                    count(CacheStat::MshrMerges);
                     return std::max(way->fillDone,
                                     cycle + cfg_.hitLatency);
                 }
                 way->fillDone = 0;
             }
-            hits_->inc();
+            count(CacheStat::Hits);
             return cycle + cfg_.hitLatency;
         }
         return accessMiss(line, write, cycle);
@@ -195,22 +195,17 @@ class CacheT final : public MemLevel
     }
 
     /**
-     * Re-resolve the counter handles into `stats` — same names, same
-     * creation set as construction. Lets a pooled cache serve a fresh
+     * Count into `stats` from now on, declaring the level's eight
+     * counters as construction does. Lets a pooled cache serve a fresh
      * run's StatSet without rebuilding its multi-megabyte way array.
      */
     void
     rebindStats(StatSet &stats)
     {
-        const std::string prefix = cfg_.name;
-        reads_ = &stats.counter(prefix + ".reads");
-        writes_ = &stats.counter(prefix + ".writes");
-        hits_ = &stats.counter(prefix + ".hits");
-        misses_ = &stats.counter(prefix + ".misses");
-        writebacks_ = &stats.counter(prefix + ".writebacks");
-        mshrMerges_ = &stats.counter(prefix + ".mshrMerges");
-        mshrStalls_ = &stats.counter(prefix + ".mshrStalls");
-        prefetches_ = &stats.counter(prefix + ".prefetches");
+        stats_ = &stats;
+        for (uint8_t k = 0; k < static_cast<uint8_t>(CacheStat::Count);
+             ++k)
+            stats.declare(cacheStat(level_, static_cast<CacheStat>(k)));
     }
 
     const CacheConfig &config() const { return cfg_; }
@@ -229,14 +224,9 @@ class CacheT final : public MemLevel
 
     CacheConfig cfg_;
     Next &next_;
-    Counter *reads_;
-    Counter *writes_;
-    Counter *hits_;
-    Counter *misses_;
-    Counter *writebacks_;
-    Counter *mshrMerges_;
-    Counter *mshrStalls_;
-    Counter *prefetches_;
+    /** The run's counters, and this level's first one in the block. */
+    StatSet *stats_ = nullptr;
+    Stat level_;
     std::vector<Way> ways_; // sets * assoc, row-major
     uint32_t numSets_ = 0;
     uint32_t epoch_ = 1;
@@ -244,6 +234,8 @@ class CacheT final : public MemLevel
     std::vector<uint64_t> mshrFreeAt_;
     BandwidthRegulator bw_;
     uint64_t useClock_ = 0;
+
+    void count(CacheStat k) { stats_->add(cacheStat(level_, k)); }
 
     uint64_t lineOf(uint64_t addr) const { return addr / cfg_.lineBytes; }
     uint32_t setOf(uint64_t line) const
@@ -299,7 +291,7 @@ template <class Next>
 uint64_t
 CacheT<Next>::accessMiss(uint64_t line, bool write, uint64_t cycle)
 {
-    misses_->inc();
+    count(CacheStat::Misses);
 
     // Allocate an MSHR: take the earliest-free entry; if none is free
     // at `cycle`, the request stalls until one is.
@@ -307,7 +299,7 @@ CacheT<Next>::accessMiss(uint64_t line, bool write, uint64_t cycle)
         std::min_element(mshrFreeAt_.begin(), mshrFreeAt_.end());
     const uint64_t issue = std::max(cycle, *earliest);
     if (*earliest > cycle)
-        mshrStalls_->inc();
+        count(CacheStat::MshrStalls);
 
     const uint64_t fill_done =
         next_.access(line * cfg_.lineBytes, false,
@@ -320,12 +312,12 @@ CacheT<Next>::accessMiss(uint64_t line, bool write, uint64_t cycle)
     if (cfg_.nextLinePrefetch) {
         const uint64_t next_line = line + 1;
         if (findWay(next_line) == nullptr) {
-            prefetches_->inc();
+            count(CacheStat::Prefetches);
             const uint64_t pf_done = next_.access(
                 next_line * cfg_.lineBytes, false, fill_done);
             Way &pf_victim = victimWay(next_line);
             if (pf_victim.epoch == epoch_ && pf_victim.dirty) {
-                writebacks_->inc();
+                count(CacheStat::Writebacks);
                 next_.access(pf_victim.tag * cfg_.lineBytes, true,
                              pf_done);
             }
@@ -338,7 +330,7 @@ CacheT<Next>::accessMiss(uint64_t line, bool write, uint64_t cycle)
     // fillDone).
     Way &victim = victimWay(line);
     if (victim.epoch == epoch_ && victim.dirty) {
-        writebacks_->inc();
+        count(CacheStat::Writebacks);
         // Writeback is off the critical path: issue it at fill time
         // without delaying the demand request.
         next_.access(victim.tag * cfg_.lineBytes, true, fill_done);

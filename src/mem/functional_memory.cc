@@ -102,10 +102,10 @@ FunctionalMemory::touchPage(uint64_t page_index)
     if (page_index != cachedIndex_) {
         std::unique_ptr<Page> &slot = pages_[page_index];
         if (!slot) {
-            slot = std::make_unique<Page>();
+            slot = std::make_unique_for_overwrite<Page>();
             std::memset(slot->written, 0, sizeof(slot->written));
             // data[] is left uninitialized on purpose: the bitmap
-            // guards every read, and 4 KiB of memset per cold page
+            // guards every read, and 4 KiB of zeroing per cold page
             // would be the dominant cost for scattered footprints.
         }
         cachedIndex_ = page_index;

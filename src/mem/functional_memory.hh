@@ -151,6 +151,10 @@ class FunctionalMemory
     /** Number of distinct bytes written so far. */
     size_t footprint() const { return writtenBytes_; }
 
+    /** Pages of storage held: every page written since construction,
+     *  including those reset() retains. */
+    size_t pagesHeld() const { return pages_.size(); }
+
     /**
      * Snapshot of all written bytes, sorted by address — used to
      * compare final memory images across backends.

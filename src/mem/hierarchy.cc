@@ -31,9 +31,7 @@ MemoryHierarchy::reset()
 void
 MemoryHierarchy::rebindStats(StatSet &stats)
 {
-    // Same counter-creation order as construction: llc, l1, scratchpad
-    // (the set is what matters for result identity; keep the order
-    // anyway so the two paths stay visibly parallel).
+    // The same counters construction declares: llc, l1, scratchpad.
     llc_.rebindStats(stats);
     l1_.rebindStats(stats);
     scratchpad_.rebindStats(stats);

@@ -70,9 +70,9 @@ class MemoryHierarchy
 
     /**
      * Make this (already-constructed) hierarchy indistinguishable from
-     * a fresh `MemoryHierarchy(config(), stats)`: re-resolve every
-     * counter into `stats` (creating the same name set construction
-     * would) and reset all timing and functional state. The expensive
+     * a fresh `MemoryHierarchy(config(), stats)`: count into `stats`
+     * (declaring the same counters construction would) and reset all
+     * timing and functional state. The expensive
      * way arrays are retained — this is the pooled-reuse fast path.
      */
     void rebindStats(StatSet &stats);

@@ -26,7 +26,7 @@ class Scratchpad
     access(uint64_t addr, bool write, uint64_t cycle)
     {
         (void)addr;
-        (write ? writes_ : reads_)->inc();
+        stats_->add(write ? Stat::ScratchpadWrites : Stat::ScratchpadReads);
         // Banked: bandwidth is rarely the bottleneck; model
         // generously.
         return bw_.admit(cycle) + latency_;
@@ -34,18 +34,18 @@ class Scratchpad
 
     void reset() { bw_.reset(); }
 
-    /** Re-resolve counter handles into `stats` (pooled reuse). */
+    /** Count into `stats` from now on (pooled reuse). */
     void
     rebindStats(StatSet &stats)
     {
-        reads_ = &stats.counter("scratchpad.reads");
-        writes_ = &stats.counter("scratchpad.writes");
+        stats_ = &stats;
+        stats.declare(Stat::ScratchpadReads);
+        stats.declare(Stat::ScratchpadWrites);
     }
 
   private:
     uint32_t latency_;
-    Counter *reads_;
-    Counter *writes_;
+    StatSet *stats_ = nullptr;
     BandwidthRegulator bw_;
 };
 

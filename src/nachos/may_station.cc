@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "energy/model.hh"
 #include "support/logging.hh"
 
 namespace nachos {
@@ -11,12 +10,12 @@ MayCheckStation::MayCheckStation(std::span<ParentState> parents,
                                  std::span<uint32_t> pending,
                                  StatSet &stats,
                                  uint32_t compares_per_cycle)
-    : parents_(parents), pending_(pending),
-      mayChecks_(&stats.counter(energy_events::kMdeMay)),
-      checksClear_(&stats.counter("nachos.checksClear")),
-      checksConflict_(&stats.counter("nachos.checksConflict")),
+    : parents_(parents), pending_(pending), stats_(&stats),
       comparesPerCycle_(compares_per_cycle)
 {
+    for (Stat s : {Stat::MdeMayChecks, Stat::NachosChecksClear,
+                   Stat::NachosChecksConflict})
+        stats.declare(s);
     NACHOS_ASSERT(comparesPerCycle_ >= 1, "need at least one comparator");
     NACHOS_ASSERT(pending_.size() == parents_.size(),
                   "arbiter queue must hold every parent");
@@ -95,16 +94,16 @@ MayCheckStation::tryCompare(uint32_t parent)
     p.compared = true;
     p.compareDoneCycle = start + 1;
     ++comparesDone_;
-    mayChecks_->inc();
+    stats_->add(Stat::MdeMayChecks);
 
     const bool overlap = p.addr < ownAddr_ + ownSize_ &&
                          ownAddr_ < p.addr + p.size;
     p.conflict = overlap;
     if (!overlap) {
         p.bitSet = p.compareDoneCycle;
-        checksClear_->inc();
+        stats_->add(Stat::NachosChecksClear);
     } else {
-        checksConflict_->inc();
+        stats_->add(Stat::NachosChecksConflict);
         if (p.completed)
             p.bitSet = std::max(p.compareDoneCycle, p.completeCycle);
     }

@@ -111,11 +111,7 @@ class MayCheckStation
      *  the first numPending_ entries. */
     std::span<uint32_t> pending_;
     uint32_t numPending_ = 0;
-    /** Handles resolved once at construction (hot path: no string
-     * building per comparison). */
-    Counter *mayChecks_;
-    Counter *checksClear_;
-    Counter *checksConflict_;
+    StatSet *stats_;
     uint32_t comparesPerCycle_;
     uint64_t comparatorSlot_ = 0;
     bool ownReady_ = false;

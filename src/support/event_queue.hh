@@ -1,8 +1,9 @@
 /**
  * @file
  * Calendar queue for discrete-event simulation: a ring of per-cycle
- * FIFO buckets (one vector per upcoming cycle, capacity reused across
- * cycles) plus an overflow min-heap for events beyond the ring window.
+ * FIFO lists threaded through one node pool (freed nodes are reused
+ * by any slot) plus an overflow min-heap for events beyond the ring
+ * window.
  *
  * Ordering contract — identical to a priority queue keyed on
  * (cycle, insertion sequence): events pop in non-decreasing cycle
@@ -10,10 +11,11 @@
  * scheduled (FIFO), including events scheduled *for the current cycle*
  * from within a handler while that cycle is draining.
  *
- * Why it is fast: schedule() and pop() are O(1) appends/reads into a
- * reused vector for any event within `BucketCount` cycles of now (the
- * common case: operand-network and cache latencies are tens of
- * cycles), with no per-event allocation; the heap is touched only by
+ * Why it is fast: schedule() and pop() are O(1) list appends/unlinks
+ * on pooled nodes for any event within `BucketCount` cycles of now
+ * (the common case: operand-network and cache latencies are tens of
+ * cycles), with no per-event allocation once the pool has grown to the
+ * most events ever pending at once; the heap is touched only by
  * far-future events (DRAM-miss completions when BucketCount is small).
  */
 
@@ -76,94 +78,83 @@ class CalendarQueue
     pop(Event &ev)
     {
         NACHOS_ASSERT(size_ > 0, "pop from empty event queue");
-        for (;;) {
-            std::vector<Event> &bucket = ring_[now_ & (BucketCount - 1)];
-            if (cursor_ < bucket.size()) {
-                ev = bucket[cursor_++];
-                --size_;
-                return now_;
-            }
-            bucket.clear();
-            clearOccupied(now_ & (BucketCount - 1));
-            cursor_ = 0;
-            advance();
-        }
+        const size_t slot = seekOccupied();
+        const uint32_t idx = head_[slot];
+        Node &node = pool_[idx];
+        ev = node.ev;
+        head_[slot] = node.next;
+        if (node.next == kNil)
+            clearOccupied(slot);
+        node.next = free_;
+        free_ = idx;
+        --size_;
+        return now_;
     }
 
     /**
      * Replace `out`'s contents with every event currently enqueued for
      * the earliest pending cycle, in FIFO order, and advance now() to
-     * that cycle. The events are copied out and the slot is emptied,
-     * so events the caller schedules for that same cycle while
-     * processing the wave start a fresh batch and the next drainWave
-     * at the same now() returns exactly that batch. Each slot keeps
-     * its own storage (a swap would let capacity migrate from slot to
-     * slot), so a queue reused across runs of the same schedule
-     * allocates nothing once every slot it touches has grown. Must
-     * not be mixed with pop() within one drain (pop leaves a
-     * partially-consumed bucket behind) and must not be called on an
-     * empty queue.
+     * that cycle. The events are copied out and the slot's nodes go
+     * back to the pool, so events the caller schedules for that same
+     * cycle while processing the wave start a fresh batch and the next
+     * drainWave at the same now() returns exactly that batch. Mixes
+     * freely with pop(). Must not be called on an empty queue.
      */
     uint64_t
     drainWave(std::vector<Event> &out)
     {
         NACHOS_ASSERT(size_ > 0, "drainWave from empty event queue");
-        NACHOS_ASSERT(cursor_ == 0, "drainWave after partial pop");
-        for (;;) {
-            std::vector<Event> &bucket = ring_[now_ & (BucketCount - 1)];
-            if (!bucket.empty()) {
-                out.assign(bucket.begin(), bucket.end());
-                bucket.clear();
-                size_ -= out.size();
-                clearOccupied(now_ & (BucketCount - 1));
-                return now_;
-            }
-            advance();
-        }
+        const size_t slot = seekOccupied();
+        out.clear();
+        for (uint32_t idx = head_[slot]; idx != kNil;
+             idx = pool_[idx].next)
+            out.push_back(pool_[idx].ev);
+        pool_[tail_[slot]].next = free_;
+        free_ = head_[slot];
+        clearOccupied(slot);
+        size_ -= out.size();
+        return now_;
     }
 
     /**
-     * Rewind to cycle 0 for a new run, discarding any pending events,
-     * while keeping bucket capacity so a reused queue schedules without
-     * allocating. A bucket grown past kRetainedBucketEvents is freed
-     * instead, so the ring retains at most BucketCount times that many
-     * events however large a past run's waves were: most waves hold a
-     * few events, and large ones must not pin memory for the rest of
-     * the queue's life. Both push paths record such a bucket as it
-     * grows, so a reset costs O(buckets grown), not O(BucketCount);
-     * only a queue reset with events still pending clears every
-     * bucket.
+     * Rewind to cycle 0 for a new run, discarding any pending events.
+     * Every slot's events live in one node pool, so a reused queue
+     * schedules without allocating once the pool has grown to the
+     * largest number of events a run had pending at once, whichever
+     * slots its cycles land in. The pool keeps its capacity unless it
+     * grew past kRetainedNodes, in which case it is freed, so one huge
+     * run does not pin memory for the rest of the queue's life. Cost
+     * is O(BucketCount / 64).
      */
     void
     reset()
     {
-        for (size_t w = 0; w < grown_.size(); ++w) {
-            for (uint64_t bits = grown_[w]; bits != 0; bits &= bits - 1) {
-                const size_t slot =
-                    w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-                std::vector<Event>().swap(ring_[slot]);
-            }
-        }
-        grown_.fill(0);
-        if (size_ != 0) {
-            for (std::vector<Event> &bucket : ring_)
-                bucket.clear();
-        } else if (cursor_ != 0) {
-            // pop() leaves the drained bucket's events until it moves on.
-            ring_[now_ & (BucketCount - 1)].clear();
-        }
+        if (pool_.capacity() > kRetainedNodes)
+            std::vector<Node>().swap(pool_);
+        else
+            pool_.clear();
+        free_ = kNil;
         occupied_.fill(0);
         overflow_.clear();
         now_ = 0;
         seq_ = 0;
         size_ = 0;
-        cursor_ = 0;
     }
 
-    /** Largest bucket capacity (in events) reset() keeps. */
-    static constexpr size_t kRetainedBucketEvents = 4;
+    /** Largest pool capacity (in events) reset() keeps. */
+    static constexpr size_t kRetainedNodes = 4096;
 
   private:
+    /** Pool index that ends a slot's list and the free list. */
+    static constexpr uint32_t kNil = UINT32_MAX;
+
+    /** One pooled event, linked into its slot's FIFO or the free list. */
+    struct Node
+    {
+        Event ev;
+        uint32_t next;
+    };
+
     struct OverflowEntry
     {
         uint64_t cycle;
@@ -182,19 +173,32 @@ class CalendarQueue
         }
     };
 
-    /**
-     * Append to a ring slot, recording the slot for reset() to free
-     * once its bucket has grown past kRetainedBucketEvents.
-     */
+    /** Append to a ring slot's list, taking a node from the pool. */
     void
     pushToSlot(size_t slot, const Event &ev)
     {
-        std::vector<Event> &bucket = ring_[slot];
-        if (bucket.empty())
+        uint32_t idx = free_;
+        if (idx != kNil) {
+            free_ = pool_[idx].next;
+            pool_[idx] = Node{ev, kNil};
+        } else {
+            NACHOS_ASSERT(pool_.size() < kNil, "event pool exhausted");
+            idx = static_cast<uint32_t>(pool_.size());
+            pool_.push_back(Node{ev, kNil});
+        }
+        if (isOccupied(slot)) {
+            pool_[tail_[slot]].next = idx;
+        } else {
+            head_[slot] = idx;
             markOccupied(slot);
-        bucket.push_back(ev);
-        if (bucket.capacity() > kRetainedBucketEvents)
-            grown_[slot / 64] |= uint64_t{1} << (slot % 64);
+        }
+        tail_[slot] = idx;
+    }
+
+    bool
+    isOccupied(size_t slot) const
+    {
+        return (occupied_[slot / 64] >> (slot % 64)) & 1;
     }
 
     void
@@ -209,10 +213,19 @@ class CalendarQueue
         occupied_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
     }
 
+    /** Advance the clock to the earliest pending cycle; its slot. */
+    size_t
+    seekOccupied()
+    {
+        while (!isOccupied(now_ & (BucketCount - 1)))
+            advance();
+        return now_ & (BucketCount - 1);
+    }
+
     /**
      * Cyclic distance from `from` to the next occupied ring slot
      * (searching slots from+1, from+2, ...), or 0 if the ring holds no
-     * events. `from`'s own bit has already been cleared by pop().
+     * events. `from` itself is empty.
      */
     size_t
     nextOccupiedDistance(size_t from) const
@@ -268,15 +281,18 @@ class CalendarQueue
         }
     }
 
-    std::array<std::vector<Event>, BucketCount> ring_;
+    /** Every slot's events; a slot's list runs head_ -> tail_. */
+    std::vector<Node> pool_;
+    /** First free node of pool_, or kNil (then pool_ grows). */
+    uint32_t free_ = kNil;
+    /** A slot's head_/tail_ are valid only while it is occupied. */
+    std::array<uint32_t, BucketCount> head_{};
+    std::array<uint32_t, BucketCount> tail_{};
     std::array<uint64_t, BucketCount / 64> occupied_{};
-    /** Slots whose bucket grew past kRetainedBucketEvents. */
-    std::array<uint64_t, BucketCount / 64> grown_{};
     std::vector<OverflowEntry> overflow_;
     uint64_t now_ = 0;
     uint64_t seq_ = 0;
     size_t size_ = 0;
-    size_t cursor_ = 0;
 };
 
 } // namespace nachos

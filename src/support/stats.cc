@@ -1,5 +1,6 @@
 #include "support/stats.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "support/json.hh"
@@ -96,15 +97,66 @@ LatencyHistogram::jsonSnapshot() const
     return v;
 }
 
+namespace {
+
+/** Stat's names, indexed by the enum. */
+constexpr std::array<std::string_view, StatSet::kNumStats> kStatNames = {
+    "cache.hits", "cache.misses", "cache.mshrMerges", "cache.mshrStalls",
+    "cache.prefetches", "cache.reads", "cache.writebacks", "cache.writes",
+    "fu.fpOps", "fu.intOps",
+    "l1.hits", "l1.misses", "l1.mshrMerges", "l1.mshrStalls",
+    "l1.prefetches", "l1.reads", "l1.writebacks", "l1.writes",
+    "llc.hits", "llc.misses", "llc.mshrMerges", "llc.mshrStalls",
+    "llc.prefetches", "llc.reads", "llc.writebacks", "llc.writes",
+    "lsq.allocs", "lsq.bloomHits", "lsq.bloomMisses", "lsq.bloomProbes",
+    "lsq.camLoads", "lsq.camStores", "lsq.forwards",
+    "mde.forwards", "mde.mayChecks", "mde.orderTokens",
+    "nachos.checksClear", "nachos.checksConflict",
+    "nachos.runtimeForwards",
+    "net.hops", "net.transfers",
+    "scratchpad.reads", "scratchpad.writes",
+};
+
+// Enum order is name order, which lets dump() merge the block with the
+// map in one pass, and lets name lookups binary-search the table.
+static_assert(std::is_sorted(kStatNames.begin(), kStatNames.end()),
+              "Stat names must be listed in name order");
+
+/** The block index of `name`, or kNumStats if it is not a Stat. */
+size_t
+statIndex(std::string_view name)
+{
+    const auto it =
+        std::lower_bound(kStatNames.begin(), kStatNames.end(), name);
+    return it != kStatNames.end() && *it == name
+               ? static_cast<size_t>(it - kStatNames.begin())
+               : StatSet::kNumStats;
+}
+
+} // namespace
+
+std::string_view
+StatSet::name(Stat s)
+{
+    return kStatNames[static_cast<size_t>(s)];
+}
+
 Counter &
 StatSet::counter(const std::string &name)
 {
-    return counters_[name];
+    const size_t idx = statIndex(name);
+    if (idx == kNumStats)
+        return counters_[name];
+    declare(static_cast<Stat>(idx));
+    return block_[idx];
 }
 
 uint64_t
 StatSet::get(const std::string &name) const
 {
+    const size_t idx = statIndex(name);
+    if (idx != kNumStats)
+        return block_[idx].value();
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second.value();
 }
@@ -118,6 +170,9 @@ StatSet::histogram(const std::string &name)
 void
 StatSet::merge(const StatSet &other)
 {
+    for (size_t i = 0; i < kNumStats; ++i)
+        block_[i].inc(other.block_[i].value());
+    present_ |= other.present_;
     for (const auto &entry : other.counters_)
         counters_[entry.first].inc(entry.second.value());
     for (const auto &entry : other.histograms_)
@@ -127,18 +182,41 @@ StatSet::merge(const StatSet &other)
 void
 StatSet::resetAll()
 {
+    for (Counter &c : block_)
+        c.reset();
     for (auto &entry : counters_)
         entry.second.reset();
     for (auto &entry : histograms_)
         entry.second.reset();
 }
 
+template <typename F>
+void
+StatSet::forEachCounter(F &&f) const
+{
+    auto mapIt = counters_.begin();
+    for (size_t i = 0; i < kNumStats; ++i) {
+        if (!present(i)) {
+            NACHOS_ASSERT(block_[i].value() == 0, "counter ",
+                          kStatNames[i], " bumped but never declared");
+            continue;
+        }
+        for (; mapIt != counters_.end() && mapIt->first < kStatNames[i];
+             ++mapIt)
+            f(std::string_view(mapIt->first), mapIt->second.value());
+        f(kStatNames[i], block_[i].value());
+    }
+    for (; mapIt != counters_.end(); ++mapIt)
+        f(std::string_view(mapIt->first), mapIt->second.value());
+}
+
 JsonValue
 StatSet::jsonSnapshot() const
 {
     JsonValue counters = JsonValue::makeObject();
-    for (const auto &entry : counters_)
-        counters.set(entry.first, entry.second.value());
+    forEachCounter([&](std::string_view name, uint64_t value) {
+        counters.set(std::string(name), value);
+    });
     JsonValue histograms = JsonValue::makeObject();
     for (const auto &entry : histograms_)
         histograms.set(entry.first, entry.second.jsonSnapshot());
@@ -152,9 +230,11 @@ std::vector<std::pair<std::string, uint64_t>>
 StatSet::dump() const
 {
     std::vector<std::pair<std::string, uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto &entry : counters_)
-        out.emplace_back(entry.first, entry.second.value());
+    out.reserve(static_cast<size_t>(std::popcount(present_)) +
+                counters_.size());
+    forEachCounter([&](std::string_view name, uint64_t value) {
+        out.emplace_back(name, value);
+    });
     return out;
 }
 

@@ -1,17 +1,21 @@
 /**
  * @file
  * Lightweight named-statistics registry used by the simulator, the
- * memory hierarchy, and the energy model. A StatSet owns a flat map of
- * counters; components register scalar counters by name and bump them as
- * events occur, mirroring gem5's stats package at a small scale.
+ * memory hierarchy, and the energy model, mirroring gem5's stats
+ * package at a small scale. The simulator's own counters live in a
+ * fixed block indexed by the Stat enum, so binding and bumping them
+ * costs no name lookup and no allocation; any other name (the
+ * daemon's metrics, suite timing) lives in a map created on first use.
  */
 
 #ifndef NACHOS_SUPPORT_STATS_HH
 #define NACHOS_SUPPORT_STATS_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nachos {
@@ -90,14 +94,89 @@ class LatencyHistogram
 };
 
 /**
+ * The simulator's counters, one per name in StatSet's name table, in
+ * name order: "cache.hits" is CacheHits, "lsq.camLoads" LsqCamLoads.
+ * Each cache level's eight counters are contiguous and in the same
+ * order (see CacheStat), so a cache indexes them from its first.
+ */
+enum class Stat : uint8_t
+{
+    // A stand-alone cache under CacheConfig's default name.
+    CacheHits, CacheMisses, CacheMshrMerges, CacheMshrStalls,
+    CachePrefetches, CacheReads, CacheWritebacks, CacheWrites,
+    FuFpOps, FuIntOps,
+    L1Hits, L1Misses, L1MshrMerges, L1MshrStalls,
+    L1Prefetches, L1Reads, L1Writebacks, L1Writes,
+    LlcHits, LlcMisses, LlcMshrMerges, LlcMshrStalls,
+    LlcPrefetches, LlcReads, LlcWritebacks, LlcWrites,
+    LsqAllocs, LsqBloomHits, LsqBloomMisses, LsqBloomProbes,
+    LsqCamLoads, LsqCamStores, LsqForwards,
+    MdeForwards, MdeMayChecks, MdeOrderTokens,
+    NachosChecksClear, NachosChecksConflict, NachosRuntimeForwards,
+    NetHops, NetTransfers,
+    ScratchpadReads, ScratchpadWrites,
+    Count
+};
+
+/** A cache level's counters, as offsets from its first Stat. */
+enum class CacheStat : uint8_t
+{
+    Hits, Misses, MshrMerges, MshrStalls, Prefetches, Reads, Writebacks,
+    Writes, Count
+};
+
+/** `level`'s (e.g. Stat::L1Hits) counter `which`. */
+constexpr Stat
+cacheStat(Stat level, CacheStat which)
+{
+    return static_cast<Stat>(static_cast<uint8_t>(level) +
+                             static_cast<uint8_t>(which));
+}
+
+/**
  * A registry of named counters and latency histograms. Names are
- * hierarchical by convention ("l1.hits", "lsq.camSearches"). Lookup
- * creates the stat on first use so call sites stay terse.
+ * hierarchical by convention ("l1.hits", "lsq.camSearches"). The
+ * names of the Stat enum live in a fixed block: a component declares
+ * its counters when it binds to a run, which makes them appear in
+ * dump() exactly as a named counter does once created, and then bumps
+ * them by index. Every other name is created on first use so call
+ * sites stay terse. The block is invisible to readers: get(), dump(),
+ * merge() and jsonSnapshot() treat a declared block counter like a
+ * map counter of the same name.
  */
 class StatSet
 {
   public:
-    /** Get (creating if needed) the counter with the given name. */
+    static constexpr size_t kNumStats = static_cast<size_t>(Stat::Count);
+
+    /** The name of a block counter ("l1.hits"). */
+    static std::string_view name(Stat s);
+
+    /** Make `s` present (from now on listed, at 0 until bumped). */
+    void
+    declare(Stat s)
+    {
+        present_ |= uint64_t{1} << static_cast<size_t>(s);
+    }
+
+    /** Bump a block counter; it must have been declared. */
+    void
+    add(Stat s, uint64_t n = 1)
+    {
+        block_[static_cast<size_t>(s)].inc(n);
+    }
+
+    /** A block counter's value; zero if it was never bumped. */
+    uint64_t
+    get(Stat s) const
+    {
+        return block_[static_cast<size_t>(s)].value();
+    }
+
+    /**
+     * Get (creating if needed) the counter with the given name. A
+     * block name declares and returns its block counter.
+     */
     Counter &counter(const std::string &name);
 
     /** Read a counter's value; zero if it was never touched. */
@@ -132,6 +211,24 @@ class StatSet
     JsonValue jsonSnapshot() const;
 
   private:
+    static_assert(kNumStats <= 64, "one presence bit per block counter");
+
+    bool
+    present(size_t idx) const
+    {
+        return (present_ >> idx) & 1;
+    }
+
+    /**
+     * Call f(name, value) for every present counter, block and map
+     * merged in name order.
+     */
+    template <typename F> void forEachCounter(F &&f) const;
+
+    std::array<Counter, kNumStats> block_{};
+    /** Bit i set iff block_[i] is declared. */
+    uint64_t present_ = 0;
+    /** Counters outside the block. */
     std::map<std::string, Counter> counters_;
     std::map<std::string, LatencyHistogram> histograms_;
 };

@@ -7,12 +7,29 @@
 namespace nachos {
 namespace testing {
 
+namespace {
+
+/**
+ * Pages above which the oracle's memory is freed after a call instead
+ * of kept for the next: a small region's pages (the fuzzer's) are
+ * worth reusing, a large or scattered one's (a suite workload's) must
+ * not stay resident beside the simulator's own memory.
+ */
+constexpr size_t kRetainedPages = 16;
+
+} // namespace
+
 ReferenceResult
 referenceExecute(const Region &region, uint64_t invocations)
 {
     NACHOS_ASSERT(region.finalized(),
                   "reference interpreter needs a finalized region");
-    FunctionalMemory mem;
+    // The thread's memory, reset rather than rebuilt: its pages and
+    // written-page list keep their storage from call to call, up to
+    // kRetainedPages. The interpreter never re-enters, so no other call
+    // is using it.
+    thread_local FunctionalMemory mem;
+    mem.reset();
     ReferenceResult result;
     std::vector<int64_t> values(region.numOps(), 0);
 
@@ -65,6 +82,8 @@ referenceExecute(const Region &region, uint64_t invocations)
         }
     }
     result.memImage = mem.image();
+    if (mem.pagesHeld() > kRetainedPages)
+        mem = FunctionalMemory();
     return result;
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * Reference oracle: a sequential interpreter that executes a region's
- * invocations in strict program order against a private
- * FunctionalMemory and records everything the differential fuzzer
- * compares against — every disambiguated load's ground-truth value,
- * the committed memory-op count, and the final memory image. Any
- * ordering scheme that is correct must reproduce this execution
- * bit-for-bit (same digest, same image); the harness golden executor
- * is a thin wrapper over this interpreter.
+ * invocations in strict program order against a FunctionalMemory of
+ * its own (one per thread, reset per call, freed after a large region)
+ * and records everything the differential fuzzer compares against —
+ * every disambiguated load's ground-truth value, the committed
+ * memory-op count, and the final memory image. Any ordering scheme
+ * that is correct must reproduce this execution bit-for-bit (same
+ * digest, same image); the harness golden executor is a thin wrapper
+ * over this interpreter.
  */
 
 #ifndef NACHOS_TESTING_REFERENCE_HH

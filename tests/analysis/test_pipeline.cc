@@ -82,6 +82,57 @@ TEST(Pipeline, SnapshotsAreMonotoneInMay)
     EXPECT_LE(res.afterStage4.all.may, res.afterStage3.all.may);
 }
 
+/** Per-pair count through the public accessors, one filter at a time. */
+PairCounts
+referenceCounts(const AliasMatrix &m, bool enforced_only)
+{
+    PairCounts c;
+    const uint32_t n = static_cast<uint32_t>(m.numMemOps());
+    for (uint32_t i = 0; i < n; ++i) {
+        for (uint32_t j = i + 1; j < n; ++j) {
+            if (!m.relevant(i, j) || (enforced_only && !m.enforced(i, j)))
+                continue;
+            switch (m.label(i, j)) {
+              case AliasLabel::No: ++c.no; break;
+              case AliasLabel::May: ++c.may; break;
+              case AliasLabel::Must: ++c.must; break;
+            }
+        }
+    }
+    return c;
+}
+
+void
+expectSameCounts(const PairCounts &got, const PairCounts &want)
+{
+    EXPECT_EQ(got.no, want.no);
+    EXPECT_EQ(got.may, want.may);
+    EXPECT_EQ(got.must, want.must);
+}
+
+TEST(Pipeline, SnapshotsMatchPerPairCounts)
+{
+    Region r = mixedRegion();
+    AliasMatrix m = runAliasPipeline(r).matrix;
+    // Vary enforcement so the two filters disagree on some pairs.
+    const uint32_t n = static_cast<uint32_t>(m.numMemOps());
+    for (uint32_t i = 0; i < n; ++i)
+        for (uint32_t j = i + 1; j < n; ++j)
+            m.setEnforced(i, j, (i + j) % 3 != 0);
+    PairCounts all;
+    PairCounts enforced;
+    m.countPairs(all, enforced);
+    expectSameCounts(all, referenceCounts(m, false));
+    expectSameCounts(enforced, referenceCounts(m, true));
+    expectSameCounts(m.counts(), all);
+    EXPECT_LT(enforced.total(), all.total());
+
+    const AliasAnalysisResult res = runAliasPipeline(r);
+    expectSameCounts(res.final().all, referenceCounts(res.matrix, false));
+    expectSameCounts(res.final().enforced,
+                     referenceCounts(res.matrix, true));
+}
+
 TEST(Pipeline, SoundnessNoViolationsOnMixedRegion)
 {
     Region r = mixedRegion();

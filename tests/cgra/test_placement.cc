@@ -96,7 +96,7 @@ TEST(Network, TransferCountsHops)
             hops += p.hops(src, o.id);
         }
     }
-    EXPECT_EQ(res.stats.get(energy_events::kNetworkTransfers), transfers);
+    EXPECT_EQ(res.stats.get(Stat::NetTransfers), transfers);
     EXPECT_EQ(res.stats.get("net.hops"), hops);
 }
 

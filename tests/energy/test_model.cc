@@ -5,8 +5,6 @@
 namespace nachos {
 namespace {
 
-namespace ev = energy_events;
-
 TEST(EnergyModel, EmptyStatsMeanZeroEnergy)
 {
     StatSet stats;
@@ -19,9 +17,9 @@ TEST(EnergyModel, EmptyStatsMeanZeroEnergy)
 TEST(EnergyModel, ComputeCategorySumsAluAndNetwork)
 {
     StatSet stats;
-    stats.counter(ev::kIntOps).inc(10);
-    stats.counter(ev::kFpOps).inc(2);
-    stats.counter(ev::kNetworkTransfers).inc(5);
+    stats.counter("fu.intOps").inc(10);
+    stats.counter("fu.fpOps").inc(2);
+    stats.counter("net.transfers").inc(5);
     EnergyParams p;
     EnergyModel model(p);
     EnergyBreakdown b = model.breakdown(stats);
@@ -33,9 +31,9 @@ TEST(EnergyModel, ComputeCategorySumsAluAndNetwork)
 TEST(EnergyModel, MdeCategoryUsesPaperCosts)
 {
     StatSet stats;
-    stats.counter(ev::kMdeMay).inc(4);
-    stats.counter(ev::kMdeMust).inc(8);
-    stats.counter(ev::kMdeForward).inc(1);
+    stats.counter("mde.mayChecks").inc(4);
+    stats.counter("mde.orderTokens").inc(8);
+    stats.counter("mde.forwards").inc(1);
     EnergyModel model;
     EnergyBreakdown b = model.breakdown(stats);
     // Paper Figure 3: MAY 500 fJ, MUST 250 fJ.
@@ -45,10 +43,10 @@ TEST(EnergyModel, MdeCategoryUsesPaperCosts)
 TEST(EnergyModel, LsqSplitsBloomAndCam)
 {
     StatSet stats;
-    stats.counter(ev::kLsqBloom).inc(10);
-    stats.counter(ev::kLsqCamLoad).inc(2);
-    stats.counter(ev::kLsqCamStore).inc(1);
-    stats.counter(ev::kLsqAlloc).inc(10);
+    stats.counter("lsq.bloomProbes").inc(10);
+    stats.counter("lsq.camLoads").inc(2);
+    stats.counter("lsq.camStores").inc(1);
+    stats.counter("lsq.allocs").inc(10);
     EnergyParams p;
     EnergyModel model(p);
     EnergyBreakdown b = model.breakdown(stats);
@@ -82,9 +80,9 @@ TEST(EnergyModel, L1IncludesScratchpad)
 TEST(EnergyModel, FractionsSumToOne)
 {
     StatSet stats;
-    stats.counter(ev::kIntOps).inc(7);
-    stats.counter(ev::kMdeMay).inc(3);
-    stats.counter(ev::kLsqBloom).inc(2);
+    stats.counter("fu.intOps").inc(7);
+    stats.counter("mde.mayChecks").inc(3);
+    stats.counter("lsq.bloomProbes").inc(2);
     stats.counter("l1.reads").inc(5);
     EnergyModel model;
     EnergyBreakdown b = model.breakdown(stats);
@@ -96,7 +94,7 @@ TEST(EnergyModel, FractionsSumToOne)
 TEST(EnergyModel, DescribeBreakdownMentionsCategories)
 {
     StatSet stats;
-    stats.counter(ev::kIntOps).inc(1);
+    stats.counter("fu.intOps").inc(1);
     EnergyModel model;
     std::string s = describeBreakdown(model.breakdown(stats));
     EXPECT_NE(s.find("compute"), std::string::npos);

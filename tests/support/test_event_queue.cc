@@ -195,7 +195,7 @@ TEST(CalendarQueue, DrainWaveReturnsOneCycleInFifoOrder)
 TEST(CalendarQueue, DrainWaveSameCycleReschedulesFormTheNextWave)
 {
     // Handlers processing a wave may schedule follow-ups for the SAME
-    // cycle; the swap leaves the slot empty, so those form a second
+    // cycle; draining leaves the slot empty, so those form a second
     // wave at the same now() instead of mixing into the first.
     Queue q;
     q.schedule(5, {0});
@@ -215,9 +215,9 @@ TEST(CalendarQueue, DrainWaveSameCycleReschedulesFormTheNextWave)
 TEST(CalendarQueue, DrainWaveKeepsEachSlotsCapacity)
 {
     // Steady state allocates nothing: drainWave copies the events out
-    // and leaves the slot's storage in place, so the next lap of the
-    // ring refills it, and the caller's cleared buffer takes the next
-    // wave of the same size.
+    // and returns the slot's nodes to the pool, so the next lap of the
+    // ring refills from it, and the caller's cleared buffer takes the
+    // next wave of the same size.
     Queue q;
     for (uint32_t i = 0; i < 32; ++i)
         q.schedule(1, {i});
@@ -288,63 +288,125 @@ TEST(CalendarQueue, ResetRewindsTheClockAndDiscardsPendingEvents)
                             {0, 3}, {7, 4}}));
 }
 
-TEST(CalendarQueue, ResetKeepsSmallBucketsAndFreesLargeOnes)
+TEST(CalendarQueue, ResetKeepsThePoolUpToTheRetainedCapacity)
 {
-    using Q = CalendarQueue<Ev, 64>;
-    Q q;
-    for (uint32_t i = 0; i < 4; ++i)
+    // The pool is shared by every slot, so a refill after reset() is
+    // free wherever its events land, up to the most events pending at
+    // once in the earlier run.
+    Queue q;
+    for (uint32_t i = 0; i < 48; ++i)
         q.schedule(1, {i});
-    for (uint32_t i = 0; i < 4 * Q::kRetainedBucketEvents; ++i)
-        q.schedule(2, {i});
     q.reset();
 
-    // The small bucket's storage survives: refilling it is free.
-    uint64_t before = threadAllocCount();
-    for (uint32_t i = 0; i < 4; ++i)
-        q.schedule(1, {i});
+    const uint64_t before = threadAllocCount();
+    for (uint32_t i = 0; i < 48; ++i)
+        q.schedule(i, {i}); // 48 different slots, one event each
     EXPECT_EQ(threadAllocCount() - before, 0u);
-
-    // The oversized bucket was released and must grow again.
-    before = threadAllocCount();
-    q.schedule(2, {0});
-    EXPECT_GT(threadAllocCount() - before, 0u);
+    EXPECT_EQ(q.size(), 48u);
 }
 
-TEST(CalendarQueue, ResetFreesABucketGrownByOverflowMigration)
+TEST(CalendarQueue, ResetReleasesAPoolGrownPastTheRetainedCapacity)
 {
-    using Q = CalendarQueue<Ev, 64>;
-    Q q;
+    Queue q;
+    for (uint32_t i = 0; i <= Queue::kRetainedNodes; ++i)
+        q.schedule(i % 64, {i});
+    q.reset();
+
+    // The oversized pool was released and must grow again.
+    const uint64_t before = threadAllocCount();
+    q.schedule(0, {0});
+    EXPECT_GT(threadAllocCount() - before, 0u);
+    EXPECT_EQ(drain(q),
+              (std::vector<std::pair<uint64_t, uint32_t>>{{0, 0}}));
+}
+
+TEST(CalendarQueue, ResetWithEventsPendingDiscardsThemAndKeepsThePool)
+{
+    Queue q;
+    for (uint32_t i = 0; i < 20; ++i)
+        q.schedule(i % 7, {i});
+    q.schedule(300, {99}); // overflow heap
+    Ev ev;
+    EXPECT_EQ(q.pop(ev), 0u);
+    q.reset();
+    EXPECT_TRUE(q.empty());
+
+    // No slot keeps a list from before, and refilling reuses the pool.
+    const uint64_t before = threadAllocCount();
+    q.schedule(3, {7});
+    q.schedule(3, {8});
+    EXPECT_EQ(threadAllocCount() - before, 0u);
+    EXPECT_EQ(drain(q), (std::vector<std::pair<uint64_t, uint32_t>>{
+                            {3, 7}, {3, 8}}));
+}
+
+TEST(CalendarQueue, OverflowMigrationDrawsFromThePool)
+{
     // Cycle 100 is beyond the ring at cycle 0: these wait in the
-    // overflow heap and reach their slot only when the clock advances.
-    for (uint32_t i = 0; i < 4 * Q::kRetainedBucketEvents; ++i)
+    // overflow heap and reach their slot only when the clock advances,
+    // behind nothing scheduled for it directly afterwards.
+    Queue q;
+    for (uint32_t i = 0; i < 16; ++i)
         q.schedule(100, {i});
     q.schedule(50, {99});
     std::vector<Ev> wave;
     EXPECT_EQ(q.drainWave(wave), 50u); // migrates cycle 100's events
+    q.schedule(100, {16});
     EXPECT_EQ(q.drainWave(wave), 100u);
-    ASSERT_EQ(wave.size(), 4 * Q::kRetainedBucketEvents);
+    ASSERT_EQ(wave.size(), 17u);
+    for (uint32_t i = 0; i < 17; ++i)
+        EXPECT_EQ(wave[i].tag, i);
     q.reset();
 
-    // Slot 100 % 64 lost its oversized storage and must grow again.
+    // The migrated events' nodes went back to the pool: the same
+    // schedule again allocates nothing.
     const uint64_t before = threadAllocCount();
-    q.schedule(100 % 64, {0});
-    EXPECT_GT(threadAllocCount() - before, 0u);
+    for (uint32_t i = 0; i < 16; ++i)
+        q.schedule(100, {i});
+    q.schedule(50, {99});
+    EXPECT_EQ(q.drainWave(wave), 50u);
+    EXPECT_EQ(q.drainWave(wave), 100u);
+    EXPECT_EQ(wave.size(), 16u);
+    EXPECT_EQ(threadAllocCount() - before, 0u);
+}
+
+TEST(CalendarQueue, WarmQueueAllocatesNothingWhateverSlotsARunTouches)
+{
+    // Two runs with the same number of events pending at once but
+    // disjoint slots: once the first has grown the pool, the second
+    // allocates nothing (per-slot storage would have to grow again).
+    Queue q;
+    std::vector<Ev> wave;
+    wave.reserve(64);
+    const auto run = [&q, &wave](uint64_t first_cycle) {
+        for (uint32_t i = 0; i < 64; ++i)
+            q.schedule(first_cycle + i % 8, {i});
+        while (!q.empty())
+            q.drainWave(wave);
+    };
+    run(0);
+    q.reset();
+    const uint64_t before = threadAllocCount();
+    run(20);
+    q.reset();
+    run(40);
+    EXPECT_EQ(threadAllocCount() - before, 0u);
 }
 
 TEST(CalendarQueue, ResetAfterSmallBucketsAllocatesNothingOnRefill)
 {
-    using Q = CalendarQueue<Ev, 64>;
-    Q q;
+    static constexpr uint32_t kPerCycle = 4;
+    Queue q;
     std::vector<Ev> wave;
-    wave.reserve(Q::kRetainedBucketEvents);
+    wave.reserve(kPerCycle);
     const auto run = [&q, &wave] {
         for (uint64_t c = 0; c < 64; ++c)
-            for (uint32_t i = 0; i < Q::kRetainedBucketEvents; ++i)
+            for (uint32_t i = 0; i < kPerCycle; ++i)
                 q.schedule(c, {i});
         while (!q.empty()) {
             wave.clear();
             const uint64_t cycle = q.drainWave(wave);
-            EXPECT_EQ(wave.size(), Q::kRetainedBucketEvents) << cycle;
+            EXPECT_EQ(wave.size(), kPerCycle) << cycle;
         }
     };
     run();
@@ -357,8 +419,7 @@ TEST(CalendarQueue, ResetAfterSmallBucketsAllocatesNothingOnRefill)
 
 TEST(CalendarQueue, ResetAfterPopDrainForgetsTheDrainedBucket)
 {
-    // pop() leaves the last bucket's consumed events in place until it
-    // moves on; a reset must not let them come back.
+    // Events popped from a slot must not come back after a reset.
     Queue q;
     for (uint32_t i = 0; i < 3; ++i)
         q.schedule(5, {i});
@@ -369,15 +430,26 @@ TEST(CalendarQueue, ResetAfterPopDrainForgetsTheDrainedBucket)
               (std::vector<std::pair<uint64_t, uint32_t>>{{5, 7}}));
 }
 
-TEST(CalendarQueueDeathTest, DrainWaveAfterPartialPopIsFatal)
+TEST(CalendarQueue, DrainWaveAfterPartialPopReturnsTheRest)
 {
+    // pop() unlinks one node at a time, so a partly popped cycle is an
+    // ordinary shorter list and drainWave returns what is left of it.
     Queue q;
     q.schedule(3, {0});
     q.schedule(3, {1});
+    q.schedule(3, {2});
+    q.schedule(4, {3});
     Ev ev;
-    (void)q.pop(ev); // leaves the bucket partially consumed
+    EXPECT_EQ(q.pop(ev), 3u);
+    EXPECT_EQ(ev.tag, 0u);
     std::vector<Ev> wave;
-    EXPECT_DEATH(q.drainWave(wave), "partial pop");
+    EXPECT_EQ(q.drainWave(wave), 3u);
+    ASSERT_EQ(wave.size(), 2u);
+    EXPECT_EQ(wave[0].tag, 1u);
+    EXPECT_EQ(wave[1].tag, 2u);
+    EXPECT_EQ(q.pop(ev), 4u);
+    EXPECT_EQ(ev.tag, 3u);
+    EXPECT_TRUE(q.empty());
 }
 
 } // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "support/json.hh"
+#include "support/random.hh"
 #include "support/stats.hh"
 
 namespace nachos {
@@ -34,6 +38,104 @@ TEST(StatSet, DumpSortedByName)
     ASSERT_EQ(dump.size(), 2u);
     EXPECT_EQ(dump[0].first, "a");
     EXPECT_EQ(dump[1].first, "z");
+}
+
+TEST(StatSet, BlockNamesResolveToTheirStat)
+{
+    StatSet stats;
+    for (size_t i = 0; i < StatSet::kNumStats; ++i) {
+        const Stat s = static_cast<Stat>(i);
+        stats.counter(std::string(StatSet::name(s))).inc(i + 1);
+        EXPECT_EQ(stats.get(s), i + 1) << StatSet::name(s);
+    }
+    EXPECT_EQ(StatSet::name(Stat::L1Hits), "l1.hits");
+    EXPECT_EQ(StatSet::name(cacheStat(Stat::LlcHits, CacheStat::Writes)),
+              "llc.writes");
+    EXPECT_EQ(StatSet::name(Stat::NachosRuntimeForwards),
+              "nachos.runtimeForwards");
+}
+
+TEST(StatSet, DeclaredCounterIsListedAtZero)
+{
+    StatSet stats;
+    stats.declare(Stat::NetHops);
+    stats.counter("a").inc(1);
+    stats.add(Stat::NetTransfers, 0); // undeclared: not listed
+    EXPECT_EQ(stats.dump(),
+              (std::vector<std::pair<std::string, uint64_t>>{
+                  {"a", 1}, {"net.hops", 0}}));
+}
+
+/**
+ * The counter set that a map of every name would hold: what dump()
+ * printed before the simulator's names moved into the block.
+ */
+using NameMap = std::map<std::string, uint64_t>;
+
+std::vector<std::pair<std::string, uint64_t>>
+asDump(const NameMap &m)
+{
+    return {m.begin(), m.end()};
+}
+
+/** Random bumps over block names (by index and by name) and others. */
+void
+fillRandomly(StatSet &stats, NameMap &want, Rng &rng)
+{
+    static const char *const kOther[] = {
+        "a", "cache.hit", "fu", "l1.z", "lsq.camLoadsX", "net.",
+        "queue.depth", "zz.last", "service.accepted"};
+    for (int i = 0; i < 40; ++i) {
+        const uint64_t n = rng.below(5);
+        if (rng.below(2) == 0) {
+            const Stat s = static_cast<Stat>(rng.below(StatSet::kNumStats));
+            stats.declare(s);
+            stats.add(s, n);
+            want[std::string(StatSet::name(s))] += n;
+        } else {
+            const std::string name = kOther[rng.below(std::size(kOther))];
+            stats.counter(name).inc(n);
+            want[name] += n;
+        }
+    }
+}
+
+TEST(StatSet, MixedBlockAndMapMatchTheMapOnlyOutput)
+{
+    Rng rng(17);
+    for (int round = 0; round < 50; ++round) {
+        StatSet a;
+        StatSet b;
+        NameMap wantA;
+        NameMap wantB;
+        fillRandomly(a, wantA, rng);
+        fillRandomly(b, wantB, rng);
+        ASSERT_EQ(a.dump(), asDump(wantA)) << "round " << round;
+
+        const JsonValue snap = a.jsonSnapshot();
+        const auto &members = snap.find("counters")->members();
+        ASSERT_EQ(members.size(), wantA.size());
+        auto it = wantA.begin();
+        for (const auto &[name, value] : members) {
+            EXPECT_EQ(name, it->first);
+            EXPECT_EQ(value.asU64(), it->second);
+            ++it;
+        }
+
+        a.merge(b);
+        for (const auto &[name, value] : wantB)
+            wantA[name] += value;
+        ASSERT_EQ(a.dump(), asDump(wantA)) << "round " << round;
+        for (const auto &[name, value] : wantA)
+            EXPECT_EQ(a.get(name), value) << name;
+    }
+}
+
+TEST(StatSetDeathTest, BumpingAnUndeclaredCounterIsFatalOnDump)
+{
+    StatSet stats;
+    stats.add(Stat::LsqAllocs);
+    EXPECT_DEATH((void)stats.dump(), "lsq.allocs bumped but never declared");
 }
 
 TEST(LatencyHistogram, EmptyIsAllZero)

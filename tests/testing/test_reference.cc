@@ -2,10 +2,13 @@
  * The reference oracle on hand-built regions with pen-and-paper
  * semantics: store-to-load visibility in program order, narrow-access
  * zero-extension, background-memory determinism, commit accounting,
- * and the LiveOut plumbing.
+ * the LiveOut plumbing, and independence from earlier calls on the
+ * thread (the oracle reuses one memory per thread).
  */
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "ir/builder.hh"
 #include "testing/reference.hh"
@@ -123,6 +126,46 @@ TEST(Reference, LoadsComeBackInProgramOrder)
     EXPECT_EQ(ref.loads[0].invocation, 0u);
     EXPECT_EQ(ref.loads[2].invocation, 1u);
     EXPECT_EQ(ref.loads[1].addr, ref.loads[0].addr + 64);
+}
+
+/** Writes `value` to `invocations` slots of A, `stride` bytes apart. */
+Region
+writerRegion(int64_t stride, int64_t value)
+{
+    RegionBuilder b("writer");
+    ObjectId a = b.object("A", 1 << 20);
+    b.store(b.stream(a, stride), b.constant(value));
+    return b.build();
+}
+
+TEST(Reference, EarlierCallsOnTheThreadLeaveNoTrace)
+{
+    // Loads before the stores: a byte left written by an earlier call
+    // would replace background data in what they observe.
+    RegionBuilder b("probe");
+    ObjectId a = b.object("A", 1 << 20);
+    OpId first = b.load(b.stream(a, 8));
+    OpId far = b.load(b.stream(a, 4096));
+    b.store(b.stream(a, 16), b.iadd(first, far));
+    b.liveOut(far);
+    const Region probe = b.build();
+
+    ReferenceResult fresh;
+    std::thread([&] { fresh = referenceExecute(probe, 40); }).join();
+
+    const Region small = writerRegion(8, 0x5a5a);     // kept memory
+    const Region scattered = writerRegion(4096, 0x77); // 40 pages: freed
+    for (const Region *before : {&small, &scattered, &small}) {
+        (void)referenceExecute(*before, 40);
+        const ReferenceResult got = referenceExecute(probe, 40);
+        EXPECT_EQ(got.loadValueDigest, fresh.loadValueDigest)
+            << "after " << before->name();
+        EXPECT_EQ(got.memImage, fresh.memImage);
+        EXPECT_EQ(got.finalLiveOut, fresh.finalLiveOut);
+        ASSERT_EQ(got.loads.size(), fresh.loads.size());
+        for (size_t i = 0; i < got.loads.size(); ++i)
+            EXPECT_EQ(got.loads[i].value, fresh.loads[i].value) << i;
+    }
 }
 
 } // namespace
