@@ -57,7 +57,5 @@ main(int argc, char **argv)
     std::cout << "Paper:   19 within 2.5%, 6 faster by 6-70%, "
                  "bzip2/sar-pfa ~8% slower\n";
     printSuiteTiming(std::cerr, run);
-    maybeWriteSuiteTimingJson(suiteJsonPath(argc, argv),
-                              benchmarkSuite(), run);
     return 0;
 }

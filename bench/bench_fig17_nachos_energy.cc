@@ -71,7 +71,5 @@ main(int argc, char **argv)
               << "Mean energy savings vs OPT-LSQ: "
               << fmtPct(savings_sum / n) << " (paper: 21%, 12-40%)\n";
     printSuiteTiming(std::cerr, run);
-    maybeWriteSuiteTimingJson(suiteJsonPath(argc, argv),
-                              benchmarkSuite(), run);
     return 0;
 }

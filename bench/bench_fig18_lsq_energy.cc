@@ -72,7 +72,5 @@ main(int argc, char **argv)
               << " (paper: 27%); perfect-bloom workloads: "
               << zero_bloom << " (paper: 9)\n";
     printSuiteTiming(std::cerr, run);
-    maybeWriteSuiteTimingJson(suiteJsonPath(argc, argv),
-                              benchmarkSuite(), run);
     return 0;
 }

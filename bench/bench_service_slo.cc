@@ -12,26 +12,19 @@
  * config B — the per-class rings mean bulk load must not wreck
  * interactive latency.
  *
- * With `--json <path>` the req/s-at-p99 rows are appended to the
- * suite timing-record format (extra `reqps`/`p99Micros` members ride
- * along; tools/perf_report.py renders them as the SLO section).
  * Timing never gates: the exit code only reflects protocol errors.
  */
 
 #include <unistd.h>
 
-#include <chrono>
-#include <cmath>
-#include <fstream>
+#include <algorithm>
 #include <iostream>
 #include <thread>
 #include <vector>
 
 #include "harness/report.hh"
-#include "harness/suite_runner.hh"
 #include "service/daemon.hh"
 #include "service/loadgen.hh"
-#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
 
@@ -40,22 +33,6 @@ using namespace nachos;
 namespace {
 
 constexpr int kTotalRequests = 128; ///< per (config, client count)
-
-std::string
-gitSha()
-{
-    std::string sha;
-    if (FILE *pipe =
-            popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64];
-        if (fgets(buf, sizeof(buf), pipe))
-            sha = buf;
-        pclose(pipe);
-    }
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-        sha.pop_back();
-    return sha.empty() ? "unknown" : sha;
-}
 
 DaemonConfig
 makeConfig(const std::string &socketPath, bool legacy)
@@ -135,32 +112,14 @@ measure(bool legacy, unsigned clients)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     setQuiet(true);
-    const std::string jsonPath = suiteJsonPath(argc, argv);
     printHeader(std::cout, "Service",
                 "nachosd SLO curve: bulk req/s at p99, legacy "
                 "uncached (A) vs sharded+cached (B)");
 
     bool allClean = true;
-    std::vector<JsonValue> rows;
-    const std::string sha = gitSha();
-    auto pushRow = [&](const std::string &stage, unsigned clients,
-                       double wallSeconds, double reqps,
-                       uint64_t p99) {
-        JsonValue row = JsonValue::makeObject();
-        row.set("workload", "service");
-        row.set("stage", stage);
-        row.set("seconds",
-                std::round(wallSeconds * 1e6) / 1e6);
-        row.set("threads", static_cast<uint64_t>(clients));
-        row.set("git_sha", sha);
-        row.set("reqps", std::round(reqps * 10) / 10);
-        row.set("p99Micros", p99);
-        rows.push_back(std::move(row));
-    };
-
     TextTable table;
     table.header({"clients", "A req/s", "A p99 us", "B req/s",
                   "B p99 us", "speedup"});
@@ -173,12 +132,6 @@ main(int argc, char **argv)
                    std::to_string(b.p99Micros),
                    a.reqps > 0 ? fmtDouble(b.reqps / a.reqps, 2) + "x"
                                : "n/a"});
-        pushRow("slo-legacy-c" + std::to_string(clients), clients,
-                a.reqps > 0 ? kTotalRequests / a.reqps : 0, a.reqps,
-                a.p99Micros);
-        pushRow("slo-sharded-c" + std::to_string(clients), clients,
-                b.reqps > 0 ? kTotalRequests / b.reqps : 0, b.reqps,
-                b.p99Micros);
     }
     table.print(std::cout);
 
@@ -218,28 +171,9 @@ main(int argc, char **argv)
                   << " us under a 16-client bulk sweep ("
                   << fmtDouble(bulk.achievedRps(), 1)
                   << " bulk req/s alongside)\n";
-        pushRow("slo-interactive-idle", 1, idle.wallSeconds,
-                idle.achievedRps(), idle.latencyMicros.p99());
-        pushRow("slo-interactive-contended", 1,
-                contended.wallSeconds, contended.achievedRps(),
-                contended.latencyMicros.p99());
         allClean = allClean && idle.completed == idle.sent &&
                    contended.completed == contended.sent &&
                    bulk.completed == bulk.sent;
-    }
-
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath);
-        if (!os)
-            NACHOS_FATAL("cannot write timing JSON to '", jsonPath,
-                         "'");
-        bool first = true;
-        os << "[";
-        for (const JsonValue &row : rows) {
-            os << (first ? "" : ",") << "\n  " << dumpJson(row);
-            first = false;
-        }
-        os << "\n]\n";
     }
 
     std::cout << "\nreport-only timing; exit reflects protocol "

@@ -6,22 +6,16 @@
  * socket — so the serving plane's overhead on sweep traffic stays
  * visible per commit.
  *
- * With `--json <path>` both measurements land in the suite timing-
- * record format (workload "sweep", extra `points`/`pointsPerSec`
- * members; tools/perf_report.py renders them as the sweep-throughput
- * section). Timing never gates: the exit code only reflects whether
- * every point completed.
+ * Timing never gates: the exit code only reflects whether every
+ * point completed.
  */
 
 #include <unistd.h>
 
 #include <chrono>
-#include <cmath>
-#include <fstream>
 #include <iostream>
 
 #include "harness/report.hh"
-#include "harness/suite_runner.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "support/logging.hh"
@@ -38,22 +32,6 @@ constexpr char kSpecJson[] =
         "invocations": 50,
         "axes": {"lsqBanks": [1, 4],
                  "l1SizeBytes": [16384, 65536]}})";
-
-std::string
-gitSha()
-{
-    std::string sha;
-    if (FILE *pipe =
-            popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64];
-        if (fgets(buf, sizeof(buf), pipe))
-            sha = buf;
-        pclose(pipe);
-    }
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-        sha.pop_back();
-    return sha.empty() ? "unknown" : sha;
-}
 
 struct Measurement
 {
@@ -126,10 +104,9 @@ timeSweep(const std::vector<SweepPoint> &points, bool overDaemon)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     setQuiet(true);
-    const std::string jsonPath = suiteJsonPath(argc, argv);
     printHeader(std::cout, "Sweep",
                 "design-space sweep throughput: in-process vs over "
                 "nachosd");
@@ -148,40 +125,15 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"mode", "points", "seconds", "points/s"});
     bool clean = true;
-    std::vector<JsonValue> rows;
-    const std::string sha = gitSha();
     auto report = [&](const char *stage, const Measurement &m) {
         const double rate = m.seconds > 0 ? m.points / m.seconds : 0;
         table.row({stage, std::to_string(m.points),
                    fmtDouble(m.seconds, 3), fmtDouble(rate, 1)});
         clean = clean && m.clean;
-        JsonValue row = JsonValue::makeObject();
-        row.set("workload", "sweep");
-        row.set("stage", stage);
-        row.set("seconds", std::round(m.seconds * 1e6) / 1e6);
-        row.set("threads", uint64_t{1});
-        row.set("git_sha", sha);
-        row.set("points", uint64_t{m.points});
-        row.set("pointsPerSec", std::round(rate * 10) / 10);
-        rows.push_back(std::move(row));
     };
     report("sweep-inprocess", inproc);
     report("sweep-daemon", daemon);
     table.print(std::cout);
-
-    if (!jsonPath.empty()) {
-        std::ofstream os(jsonPath);
-        if (!os)
-            NACHOS_FATAL("cannot write timing JSON to '", jsonPath,
-                         "'");
-        bool first = true;
-        os << "[";
-        for (const JsonValue &row : rows) {
-            os << (first ? "" : ",") << "\n  " << dumpJson(row);
-            first = false;
-        }
-        os << "\n]\n";
-    }
 
     std::cout << "\nreport-only timing; exit reflects sweep "
                  "completeness only\n";

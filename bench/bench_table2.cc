@@ -92,7 +92,5 @@ main(int argc, char **argv)
                  "accesses under OPT-LSQ;\ndependence counts are MUST "
                  "pairs in the final alias matrix.\n";
     printSuiteTiming(std::cerr, run);
-    maybeWriteSuiteTimingJson(suiteJsonPath(argc, argv),
-                              benchmarkSuite(), run);
     return 0;
 }

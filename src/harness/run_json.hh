@@ -1,9 +1,9 @@
 /**
  * @file
  * JSON (de)serialization of the harness request/result types — the one
- * encoding path shared by the `nachosd` daemon, the `nachos_client`
- * CLI, and the benches' `--json` output, so the JSON surfaces cannot
- * drift apart.
+ * encoding path shared by the `nachosd` daemon and the `nachos_client`
+ * CLI, including its in-process `--direct` mode, so the JSON surfaces
+ * cannot drift apart.
  *
  * Decoding validates strictly and reports typed errors instead of
  * panicking: the daemon feeds it bytes straight off a socket, so an
@@ -173,16 +173,6 @@ JsonValue encodeRunOutcome(const BenchmarkInfo &info,
 /** Strict inverse of encodeOutcome. */
 bool decodeOutcome(const JsonValue &v, OutcomeSummary &summary,
                    CodecError &err);
-
-/**
- * One {workload, stage, seconds, threads, git_sha} timing record —
- * the row format of the benches' `--json` files, built through the
- * same JsonValue writer as every other JSON surface. `seconds` is
- * rounded to microsecond resolution so records are stable.
- */
-JsonValue encodeTimingRecord(const std::string &workload,
-                             const std::string &stage, double seconds,
-                             uint64_t threads, const std::string &sha);
 
 } // namespace nachos
 

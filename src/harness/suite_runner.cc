@@ -1,13 +1,10 @@
 #include "harness/suite_runner.hh"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <ostream>
 #include <string>
 
-#include "harness/run_json.hh"
-#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
 
@@ -46,11 +43,9 @@ runSuite(const std::vector<BenchmarkInfo> &suite,
 
     SuiteRun run;
     run.outcomes.reserve(tasks.size());
-    run.stageTimes.reserve(tasks.size());
     StageTimes total;
     for (TimedOutcome &task : tasks) {
         run.outcomes.push_back(std::move(task.outcome));
-        run.stageTimes.push_back(task.times);
         total.synthSeconds += task.times.synthSeconds;
         total.analysisSeconds += task.times.analysisSeconds;
         total.mdeSeconds += task.times.mdeSeconds;
@@ -110,116 +105,6 @@ suiteThreads(int argc, char *const argv[])
         return static_cast<unsigned>(n);
     }
     return ThreadPool::defaultThreadCount();
-}
-
-std::string
-suiteJsonPath(int argc, char *const argv[])
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--json" && i + 1 < argc)
-            return argv[i + 1];
-        if (arg.rfind("--json=", 0) == 0)
-            return arg.substr(7);
-    }
-    return "";
-}
-
-namespace {
-
-/** Short git revision of the working tree, or "unknown". */
-std::string
-gitSha()
-{
-    std::string sha;
-    if (FILE *pipe =
-            popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64];
-        if (fgets(buf, sizeof(buf), pipe))
-            sha = buf;
-        pclose(pipe);
-    }
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-        sha.pop_back();
-    return sha.empty() ? "unknown" : sha;
-}
-
-void
-jsonRecord(std::ostream &os, bool &first, const std::string &workload,
-           const char *stage, double seconds, uint64_t threads,
-           const std::string &sha)
-{
-    // Same encoder as the daemon protocol (harness/run_json), so the
-    // two JSON surfaces share one formatting path.
-    os << (first ? "" : ",") << "\n  "
-       << dumpJson(encodeTimingRecord(workload, stage, seconds, threads,
-                                      sha));
-    first = false;
-}
-
-} // namespace
-
-void
-maybeWriteSuiteTimingJson(const std::string &path,
-                          const std::vector<BenchmarkInfo> &suite,
-                          const SuiteRun &run)
-{
-    if (path.empty())
-        return;
-    NACHOS_ASSERT(run.stageTimes.size() == run.outcomes.size(),
-                  "suite run lost its stage timings");
-    std::ofstream os(path);
-    if (!os)
-        NACHOS_FATAL("cannot write suite timing JSON to '", path, "'");
-
-    const std::string sha = gitSha();
-    const uint64_t threads = run.timing.get("suite.threads");
-    const double micro = 1e-6;
-    bool first = true;
-    os << "[";
-    for (size_t i = 0; i < run.stageTimes.size(); ++i) {
-        const std::string &name =
-            i < suite.size() ? suite[i].name : "unknown";
-        const StageTimes &t = run.stageTimes[i];
-        jsonRecord(os, first, name, "synth", t.synthSeconds, threads,
-                   sha);
-        jsonRecord(os, first, name, "analysis", t.analysisSeconds,
-                   threads, sha);
-        jsonRecord(os, first, name, "mde", t.mdeSeconds, threads, sha);
-        jsonRecord(os, first, name, "sim", t.simSeconds, threads, sha);
-    }
-    const StatSet &agg = run.timing;
-    jsonRecord(os, first, "suite", "synth",
-               static_cast<double>(agg.get("stage.synthMicros")) * micro,
-               threads, sha);
-    jsonRecord(os, first, "suite", "analysis",
-               static_cast<double>(agg.get("stage.analysisMicros")) *
-                   micro,
-               threads, sha);
-    jsonRecord(os, first, "suite", "mde",
-               static_cast<double>(agg.get("stage.mdeMicros")) * micro,
-               threads, sha);
-    jsonRecord(os, first, "suite", "sim",
-               static_cast<double>(agg.get("stage.simMicros")) * micro,
-               threads, sha);
-    jsonRecord(os, first, "suite", "wall",
-               static_cast<double>(agg.get("suite.wallMicros")) * micro,
-               threads, sha);
-    // Firing-plan observability row: event counts, not seconds, so it
-    // gets its own workload key ("plan") and perf_report.py renders
-    // it in a dedicated section instead of the stage table.
-    {
-        JsonValue v = JsonValue::makeObject();
-        v.set("workload", std::string("plan"));
-        v.set("stage", std::string("plan"));
-        v.set("eventsDispatched", agg.get("plan.eventsDispatched"));
-        v.set("eventsElided", agg.get("plan.eventsElided"));
-        v.set("threads", threads);
-        v.set("git_sha", sha);
-        os << (first ? "" : ",") << "\n  " << dumpJson(v);
-        first = false;
-    }
-    os << "\n]\n";
 }
 
 void

@@ -32,9 +32,6 @@ struct SuiteRun
     /** One outcome per workload, in suite order. */
     std::vector<RunOutcome> outcomes;
 
-    /** Per-workload stage timing, in suite order. */
-    std::vector<StageTimes> stageTimes;
-
     /**
      * Wall-clock accounting, all in microseconds except the last two:
      *   suite.wallMicros      end-to-end wall clock of the sweep
@@ -71,24 +68,6 @@ unsigned suiteThreads(int argc, char *const argv[]);
  * counts.
  */
 void printSuiteTiming(std::ostream &os, const SuiteRun &run);
-
-/**
- * `--json <path>` / `--json=<path>` from argv if present, else "".
- * Benches pass the result to maybeWriteSuiteTimingJson.
- */
-std::string suiteJsonPath(int argc, char *const argv[]);
-
-/**
- * Write machine-readable per-stage + wall-clock timing as a JSON array
- * of records {workload, stage, seconds, threads, git_sha} — one record
- * per (workload, stage), plus aggregate records under workload
- * "suite" (per-stage sums and end-to-end "wall") and one workload
- * "plan" record of sim-stage event counts. No-op if `path` is
- * empty. `suite` must be the suite `run` was produced from.
- */
-void maybeWriteSuiteTimingJson(const std::string &path,
-                               const std::vector<BenchmarkInfo> &suite,
-                               const SuiteRun &run);
 
 } // namespace nachos
 

@@ -681,7 +681,8 @@ Daemon::completeMember(Shard &shard, Job &job, const JobResult &r)
     shard.stats.counter("jobs.completed").inc();
     // Firing-plan observability: fold each backend run's plan counters
     // into the shard stats so metricsSnapshot() exposes suite-wide
-    // event traffic (mirrors the suite --json "plan" record).
+    // event traffic (the counters behind a suite bench's "plan:"
+    // stderr line).
     // Cache-served sims report their cached counters — per-job
     // visibility, not unique-sim accounting.
     for (const std::optional<SimResult> *sim : {&r.lsq, &r.sw, &r.nachos}) {

@@ -8,10 +8,28 @@
 
 namespace nachos {
 
+size_t
+LatencyHistogram::bucketOf(uint64_t value)
+{
+    // Below 2 * kSubBuckets the shift is 0 and the bucket is the
+    // value; above, the top kSubBits + 1 bits pick the bucket.
+    const unsigned width = std::bit_width(value);
+    const unsigned shift = width > kSubBits + 1 ? width - kSubBits - 1 : 0;
+    return shift * kSubBuckets + static_cast<size_t>(value >> shift);
+}
+
+uint64_t
+LatencyHistogram::bucketUpperBound(size_t idx)
+{
+    const size_t shift = idx < 2 * kSubBuckets ? 0 : idx / kSubBuckets - 1;
+    const uint64_t mantissa = idx - shift * kSubBuckets;
+    return (mantissa << shift) + ((uint64_t{1} << shift) - 1);
+}
+
 void
 LatencyHistogram::sample(uint64_t value, uint64_t weight)
 {
-    buckets_[std::bit_width(value)] += weight;
+    buckets_[bucketOf(value)] += weight;
     count_ += weight;
     sum_ += value * weight;
     if (value < min_)
@@ -46,11 +64,9 @@ LatencyHistogram::percentile(double p) const
     for (size_t b = 0; b < kBuckets; ++b) {
         seen += buckets_[b];
         if (seen >= rank) {
-            // Upper bound of bucket b (bit-width b), clamped to what
-            // was actually observed.
-            const uint64_t hi =
-                b == 0 ? 0 : (b >= 64 ? UINT64_MAX : (1ull << b) - 1);
-            return std::min(std::max(hi, min()), max_);
+            // Upper bound of bucket b, clamped to what was actually
+            // observed.
+            return std::min(std::max(bucketUpperBound(b), min()), max_);
         }
     }
     return max_;

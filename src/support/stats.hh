@@ -37,17 +37,26 @@ class Counter
 };
 
 /**
- * Streaming latency distribution over fixed log2-scale buckets:
- * bucket b holds samples whose value has bit-width b (0, 1, 2-3, 4-7,
- * ... up to 2^63-). Constant memory, O(1) sampling, and percentile
- * reads that are exact to within one octave — plenty for the daemon's
- * p50/p95/p99 service-latency metrics, where the interesting signal
- * is orders of magnitude, not microseconds.
+ * Streaming latency distribution over log-linear (HDR-style) buckets:
+ * values below 2 * kSubBuckets each have a bucket of their own, and
+ * every octave [2^e, 2^(e+1)) above that is split into kSubBuckets
+ * equal sub-buckets. Constant memory, O(1) sampling, and a percentile
+ * read (its bucket's upper bound) that overstates the true sample by
+ * less than 1/kSubBuckets (6.25%) of it, so the daemon's p50/p95/p99
+ * resolve a tail move of a few percent, not just an octave.
  */
 class LatencyHistogram
 {
   public:
-    static constexpr size_t kBuckets = 65; ///< bit-widths 0..64
+    static constexpr unsigned kSubBits = 4;
+    static constexpr size_t kSubBuckets = size_t{1} << kSubBits;
+    /** Enough for every uint64_t. */
+    static constexpr size_t kBuckets = (65 - kSubBits) * kSubBuckets;
+
+    /** Bucket holding `value`. */
+    static size_t bucketOf(uint64_t value);
+    /** Largest value bucket `idx` holds. */
+    static uint64_t bucketUpperBound(size_t idx);
 
     void sample(uint64_t value, uint64_t weight = 1);
 

@@ -211,17 +211,6 @@ TEST(Outcome, DecodeRejectsUnknownMember)
     EXPECT_EQ(err.code, "bad_request");
 }
 
-TEST(TimingRecord, StableEncoding)
-{
-    const JsonValue v =
-        encodeTimingRecord("164.gzip", "analysis", 0.1234567891, 4,
-                           "abc123");
-    EXPECT_EQ(dumpJson(v),
-              "{\"workload\":\"164.gzip\",\"stage\":\"analysis\","
-              "\"seconds\":0.123457,\"threads\":4,"
-              "\"git_sha\":\"abc123\"}");
-}
-
 TEST(RunRequest, AdmissionClassRoundTrips)
 {
     JobSpec spec;

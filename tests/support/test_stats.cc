@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "support/json.hh"
 #include "support/random.hh"
@@ -158,8 +161,9 @@ TEST(LatencyHistogram, SingleSampleClampsToExactValue)
     EXPECT_EQ(h.sum(), 10u);
     EXPECT_EQ(h.min(), 10u);
     EXPECT_EQ(h.max(), 10u);
-    // Bucket upper bound is 15, but the clamp to the observed range
-    // makes every percentile exact for a single sample.
+    // Small values have exact buckets, and at any magnitude the clamp
+    // to the observed range makes every percentile exact for a single
+    // sample.
     EXPECT_EQ(h.p50(), 10u);
     EXPECT_EQ(h.p95(), 10u);
     EXPECT_EQ(h.p99(), 10u);
@@ -173,13 +177,12 @@ TEST(LatencyHistogram, Log2BucketPercentiles)
     EXPECT_EQ(h.count(), 100u);
     EXPECT_EQ(h.sum(), 5050u);
     EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-    // Rank 50 lands in the 32..63 bucket; its upper bound is the
-    // answer (exact to within one octave by design).
-    EXPECT_EQ(h.p50(), 63u);
-    // Ranks 95 and 99 land in the 64..127 bucket, whose upper bound
-    // clamps to the observed max of 100.
-    EXPECT_EQ(h.p95(), 100u);
-    EXPECT_EQ(h.p99(), 100u);
+    // Each octave holds 16 sub-buckets, so the answer is the upper
+    // bound of a bucket 2 wide (32..63) or 4 wide (64..127), not of
+    // the whole octave. Rank 50 lands in 50..51.
+    EXPECT_EQ(h.p50(), 51u);
+    EXPECT_EQ(h.p95(), 95u); // 92..95
+    EXPECT_EQ(h.p99(), 99u); // 96..99
     EXPECT_EQ(h.percentile(1), 1u);
 }
 
@@ -188,10 +191,58 @@ TEST(LatencyHistogram, WeightAndBuckets)
     LatencyHistogram h;
     h.sample(0);
     h.sample(4, 3);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 12u);
-    EXPECT_EQ(h.bucket(0), 1u); // bit-width of 0
-    EXPECT_EQ(h.bucket(3), 3u); // bit-width of 4
+    h.sample(100);
+    EXPECT_EQ(h.count(), 5u);
+    EXPECT_EQ(h.sum(), 112u);
+    EXPECT_EQ(h.bucket(0), 1u); // values below 32 count exactly
+    EXPECT_EQ(h.bucket(4), 3u);
+    // 100 is in 64..127, split into 16 buckets of 4: 100..103.
+    EXPECT_EQ(LatencyHistogram::bucketUpperBound(
+                  LatencyHistogram::bucketOf(100)),
+              103u);
+    EXPECT_EQ(h.bucket(LatencyHistogram::bucketOf(100)), 1u);
+}
+
+TEST(LatencyHistogram, BucketsTileEveryValue)
+{
+    // Consecutive buckets cover consecutive ranges with no gap or
+    // overlap, up to UINT64_MAX in the last one, and each is narrower
+    // than 1/16 of its values.
+    uint64_t lo = 0;
+    for (size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+        const uint64_t hi = LatencyHistogram::bucketUpperBound(b);
+        ASSERT_GE(hi, lo) << b;
+        EXPECT_EQ(LatencyHistogram::bucketOf(lo), b);
+        EXPECT_EQ(LatencyHistogram::bucketOf(hi), b);
+        EXPECT_LE(hi - lo, lo / 16) << b;
+        if (b + 1 == LatencyHistogram::kBuckets)
+            EXPECT_EQ(hi, UINT64_MAX);
+        else
+            lo = hi + 1;
+    }
+}
+
+TEST(LatencyHistogram, UniformSpreadPercentilesWithinTenPercent)
+{
+    // Samples spread uniformly over 300-700 us, in a scrambled order:
+    // every percentile must land within 10% of the exact nearest-rank
+    // order statistic. Log2 buckets could only answer 511 or the
+    // clamped max of 700 here, 28% off at p25.
+    LatencyHistogram h;
+    std::vector<uint64_t> samples;
+    for (uint64_t i = 0; i < 4001; ++i)
+        samples.push_back(300 + (i * 2909) % 401);
+    for (uint64_t v : samples)
+        h.sample(v);
+    std::sort(samples.begin(), samples.end());
+    for (const double p : {10.0, 25.0, 50.0, 75.0, 90.0, 99.0}) {
+        const size_t rank = static_cast<size_t>(
+            std::ceil(p / 100.0 * static_cast<double>(samples.size())));
+        const double exact = static_cast<double>(samples[rank - 1]);
+        const double got = static_cast<double>(h.percentile(p));
+        EXPECT_LE(std::abs(got - exact), 0.10 * exact)
+            << "p" << p << ": " << got << " vs exact " << exact;
+    }
 }
 
 TEST(LatencyHistogram, ResetAndJsonSnapshot)
